@@ -42,7 +42,7 @@ def test_bench_agrid_ell_energy(once):
             algorithm="agrid",
             family="beaded_path",
             family_kwargs={"n": 24, "spacing": float(ell)},
-            ell=ell,
+            params={"ell": ell},
         )
         for ell in (1, 2, 3)
     ]

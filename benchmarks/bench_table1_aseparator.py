@@ -89,7 +89,7 @@ def test_bench_solver_variants(once):
             algorithm="aseparator",
             family="uniform_disk",
             family_kwargs={"n": 40, "rho": 8.0, "seed": 0},
-            solver=solver,
+            params={"solver": solver},
         )
         for solver in choices
     ]

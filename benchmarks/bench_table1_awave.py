@@ -30,7 +30,7 @@ def test_bench_awave_vs_agrid(once):
             algorithm=spec.name,
             family="beaded_path",
             family_kwargs={"n": 110, "spacing": 3.5},
-            ell=ell,
+            params={"ell": ell},
         )
         for spec in specs
     ]

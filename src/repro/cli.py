@@ -807,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="supervise the sweep: per-job wall clock from worker-side "
-             "start; a timed-out attempt is killed and retried",
+        help="supervise the sweep: per-attempt wall clock from dispatch; "
+             "a timed-out attempt is killed and retried",
     )
     p_sweep.add_argument(
         "--retries", type=int, default=None,

@@ -15,7 +15,6 @@ dispatches through the registry) and the raw :func:`run_program` plumbing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -25,7 +24,6 @@ from ..sim.actions import Program
 from .registry import get_algorithm
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmRun",
     "RunRequest",
     "run_program",
@@ -36,31 +34,10 @@ __all__ = [
 ]
 
 
-#: Deprecated: the paper's three distributed algorithms, served through a
-#: module ``__getattr__`` so any access warns.  New code should enumerate
-#: :func:`repro.core.registry.algorithm_names`, which also covers the
-#: centralized baselines and future registrations.
-_LEGACY_ALGORITHMS = ("aseparator", "agrid", "awave")
-
-
-def __getattr__(name: str) -> Any:
-    if name == "ALGORITHMS":
-        warnings.warn(
-            "repro.core.runner.ALGORITHMS is deprecated (it predates the "
-            "registry and omits the centralized baselines); enumerate "
-            "repro.core.registry.algorithm_names() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _LEGACY_ALGORITHMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-#: The four pre-registry ``RunRequest`` fields, kept as a working compat
-#: shim: they merge into ``params`` and keep their dedicated slots in
-#: :meth:`RunRequest.as_dict`, so pre-redesign sweep JSONs and cache keys
-#: are byte-identical.
-_LEGACY_PARAMS = ("ell", "rho", "enforce_budget", "solver")
-_LEGACY_DEFAULTS = {"ell": None, "rho": None, "enforce_budget": False, "solver": None}
+#: The family layout's dedicated parameter keys, in key order, with the
+#: value :meth:`RunRequest.as_dict` writes when a request leaves one unset
+#: — the layout every family-request cache key was minted under.
+_FAMILY_SLOTS = {"ell": None, "rho": None, "enforce_budget": False, "solver": None}
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,7 @@ class RunRequest:
 
     A request carries only plain data — algorithm and workload *names*
     plus keyword arguments — so it can cross process boundaries (the sweep
-    harness ships requests to ``multiprocessing`` workers) and be hashed
+    harness ships requests to worker processes) and be hashed
     into a stable cache key (:mod:`repro.experiments.cache`).  Executing
     the same request twice is deterministic: instance generation is
     seeded, world-model assignment is seeded, and the engine is
@@ -117,18 +94,13 @@ class RunRequest:
 
     Algorithm parameters go in ``params``, validated at construction time
     against the registered :class:`~repro.core.registry.AlgorithmSpec`
-    schema.  The pre-registry fields ``ell``/``rho``/``enforce_budget``/
-    ``solver`` still work (they merge into the same parameter set) and
-    keep their dedicated slots in :meth:`as_dict`.
+    schema.  For family requests, ``ell``/``rho``/``enforce_budget``/
+    ``solver`` keep their pre-registry slots in :meth:`as_dict`.
     """
 
     algorithm: str
     family: str = ""
     family_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    ell: int | None = None           # deprecated: use params["ell"]
-    rho: float | None = None         # deprecated: use params["rho"]
-    enforce_budget: bool = False     # deprecated: use params["enforce_budget"]
-    solver: str | None = None        # deprecated: use params["solver"]
     collect: str = "summary"         # "summary" | "phases"
     params: Mapping[str, Any] = field(default_factory=dict)
     scenario: str | None = None
@@ -184,26 +156,12 @@ class RunRequest:
         self.resolved_params()
 
     def resolved_params(self) -> dict[str, Any]:
-        """Legacy fields + ``params``, validated against the spec schema.
+        """``params`` validated against the spec schema.
 
         Sorted-key dict of everything the caller pinned (``None`` values
         mean *unset* and are dropped; defaults are applied at build time).
-        A legacy field conflicting with the same key in ``params`` is an
-        error — silently preferring one would fork the cache key.
         """
-        spec = get_algorithm(self.algorithm)
-        merged = dict(self.params)
-        for name in _LEGACY_PARAMS:
-            value = getattr(self, name)
-            if value == _LEGACY_DEFAULTS[name]:
-                continue
-            if name in merged and merged[name] != value:
-                raise ValueError(
-                    f"parameter {name!r} given twice (field {value!r} vs "
-                    f"params[{name!r}] = {merged[name]!r})"
-                )
-            merged[name] = value
-        return spec.validate_params(merged)
+        return get_algorithm(self.algorithm).validate_params(self.params)
 
     @property
     def workload(self) -> str:
@@ -226,12 +184,13 @@ class RunRequest:
         """Plain-data view (stable key order) for hashing and labels.
 
         Family requests keep the exact pre-redesign layout: the four
-        legacy parameters hold their dedicated keys — byte-stable with
-        pre-registry cache entries; any other algorithm parameter lands
-        under ``"params"`` (absent when empty, so the key of an unchanged
-        request never moves).  Scenario requests use a fresh layout (no
-        legacy slots: everything pinned sits under ``"params"``) — a new
-        cache namespace with nothing to stay compatible with.
+        pre-registry parameters hold their dedicated keys — byte-stable
+        with pre-registry cache entries; any other algorithm parameter
+        lands under ``"params"`` (absent when empty, so the key of an
+        unchanged request never moves).  Scenario requests use a fresh
+        layout (no dedicated slots: everything pinned sits under
+        ``"params"``) — a new cache namespace with nothing to stay
+        compatible with.
         """
         merged = self.resolved_params()
         if self.scenario is not None:
@@ -245,15 +204,12 @@ class RunRequest:
             if merged:
                 payload["params"] = merged
             return payload
-        legacy = {
-            name: merged.pop(name, _LEGACY_DEFAULTS[name])
-            for name in _LEGACY_PARAMS
-        }
+        slots = {name: merged.pop(name, unset) for name, unset in _FAMILY_SLOTS.items()}
         payload = {
             "algorithm": self.algorithm,
             "family": self.family,
             "family_kwargs": dict(sorted(dict(self.family_kwargs).items())),
-            **legacy,
+            **slots,
             "collect": self.collect,
         }
         if merged:

@@ -2,10 +2,11 @@
 
 :mod:`~repro.experiments.harness` is the batch-execution substrate —
 declarative sweep specs expanded into picklable jobs, run on a pluggable
-executor backend (:mod:`~repro.experiments.executors`: ``serial``,
-``pool``, ``async-local``) with an incremental on-disk cache and a
-resumable sweep manifest (:mod:`~repro.experiments.manifest`).  The
-table/figure functions are thin, named sweeps built on top of it.
+executor backend (:mod:`~repro.experiments.executors`: ``serial`` or
+the ``pool`` process pool, alias ``async-local``) with an incremental
+on-disk cache and a resumable sweep manifest
+(:mod:`~repro.experiments.manifest`).  The table/figure functions are
+thin, named sweeps built on top of it.
 """
 
 from .ablations import (
@@ -16,7 +17,6 @@ from .ablations import (
 )
 from .cache import ResultCache, request_key
 from .executors import (
-    AsyncLocalExecutor,
     Executor,
     JobFailure,
     PoolExecutor,
@@ -80,7 +80,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "AsyncLocalExecutor",
     "SweepJobError",
     "WorkerDied",
     "JobFailure",

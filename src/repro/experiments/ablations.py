@@ -79,7 +79,7 @@ def solver_choice(
             algorithm="aseparator",
             family="uniform_disk",
             family_kwargs={"n": n, "rho": rho, "seed": seed},
-            solver=solver,
+            params={"solver": solver},
         )
         for n, rho, seed in configs
         for solver in ("quadtree", "greedy")

@@ -1,70 +1,50 @@
-"""Pluggable sweep executors: serial, process pool, async local.
+"""Pluggable sweep executors: in-process serial and one process pool.
 
-The harness used to hardwire one execution strategy — a bare
-``multiprocessing.Pool`` inside ``run_requests`` — which caps every
-sweep at one box and leaves no seam for the ROADMAP's multi-host
-work-stealing backend.  This module turns the strategy into a small
-registered protocol, mirroring the algorithm and scenario registries
-(PRs 2–3):
+A sweep selects its execution strategy by name from a small registry
+(:func:`register_executor`, :func:`get_executor`, :func:`executor_names`),
+mirroring the algorithm and scenario registries:
 
 * :class:`Executor` — the protocol: ``submit(indexed jobs)`` yields
   ``(index, record, elapsed)`` tuples as jobs settle, in any order;
-* a name -> factory registry (:func:`register_executor`,
-  :func:`get_executor`, :func:`executor_names`) so sweeps select a
-  backend by name (``freezetag sweep --executor async-local``);
-* three built-in backends:
+* ``serial`` — in-process, submission order: the debugging and
+  profiling baseline (no pickling, original tracebacks chained);
+* ``pool``, also registered as ``async-local`` — :class:`PoolExecutor`,
+  the one out-of-process backend: a ``concurrent.futures`` process pool
+  driven two ways:
 
-  - ``serial`` — in-process, submission order: the debugging and
-    profiling baseline (no pickling, original tracebacks chained);
-  - ``pool`` — the classic ``multiprocessing.Pool``, exactly the
-    strategy ``run_requests(workers=N)`` always had, now behind the
-    protocol (the ``workers=`` compat shim maps here, including the
-    historical "one worker or one job runs in-process" fast path);
-  - ``async-local`` — an asyncio event loop driving a
-    ``concurrent.futures`` process pool: the same one-box parallelism,
-    but the coordinator is a non-blocking loop — the stepping stone to
-    multi-host work-stealing over the shared content-hash cache, where
-    job dispatch must interleave with network traffic
-    (``freezetag serve``, ROADMAP item 2).
+  - batch :meth:`PoolExecutor.submit` (``freezetag sweep``), keeping the
+    historical ``run_requests(workers=N)`` fast path: one worker or one
+    job runs in-process;
+  - persistent :meth:`~PoolExecutor.open` / :meth:`~PoolExecutor.run_one`
+    / :meth:`~PoolExecutor.kill` / :meth:`~PoolExecutor.close`, awaited
+    one job at a time from a caller-owned event loop — the surface the
+    supervisor (:mod:`repro.experiments.supervise`) drives for both
+    supervised sweeps and ``freezetag serve``.
 
 Executors only order *execution*; the harness reassembles records by
 job index and every job is deterministic given its request, so sweep
 records are **byte-identical across backends** (pinned by
 ``tests/experiments/test_executors.py``).
 
-Failure contract: a job that raises inside any backend surfaces as
-:class:`SweepJobError` naming the job's index and the offending
-request's label — never a bare pool traceback.  Process backends ship a
-picklable failure payload back instead of the exception object itself,
-so unpicklable exception types cannot wedge the pool.
-
-Two failure channels (the supervision seam, PR 9):
-
-* :meth:`Executor.submit` raises on the first failing job — the
-  historical contract every existing call site pins;
-* ``stream()`` (on every built-in backend) yields failures as *data*
-  (:class:`JobFailure` payloads) and keeps settling siblings — what
-  :class:`~repro.experiments.supervise.SupervisedExecutor` consumes to
-  retry and quarantine instead of aborting the sweep.
-
-A worker that dies without settling (SIGKILL, ``os._exit``) used to
-deadlock ``PoolExecutor.submit`` inside ``imap_unordered``; both process
-backends now detect the death and raise :class:`WorkerDied` naming every
-unsettled job, after force-killing the remaining workers (``abort()``
-does the same on demand, escalating straight to SIGKILL so a worker
-ignoring SIGTERM cannot wedge teardown).
+Failure contract: a job that raises surfaces as :class:`SweepJobError`
+naming the job's index and the offending request's label — never a bare
+pool traceback.  Workers ship a picklable :class:`JobFailure` payload
+back instead of the exception object itself, so unpicklable exception
+types cannot wedge the pool.  A worker that dies without settling
+(SIGKILL, ``os._exit``) breaks the pool: batch ``submit`` raises
+:class:`WorkerDied` naming every unsettled job, and ``run_one`` awaiters
+see ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..core.runner import RunRequest
@@ -77,7 +57,6 @@ __all__ = [
     "JobFailure",
     "SerialExecutor",
     "PoolExecutor",
-    "AsyncLocalExecutor",
     "register_executor",
     "get_executor",
     "executor_names",
@@ -111,11 +90,9 @@ class SweepJobError(RuntimeError):
 class WorkerDied(RuntimeError):
     """A worker process died without settling its jobs.
 
-    Raised by the process backends instead of the historical deadlock
-    (``imap_unordered`` waiting forever on a SIGKILLed worker).
-    ``indexes`` names every submitted-but-unsettled job at the moment of
-    death — the supervisor's resubmission list.  The dead pool's
-    remaining workers have already been force-killed when this is
+    Raised by the batch pool path when the pool breaks.  ``indexes``
+    names every submitted-but-unsettled job at the moment of death; the
+    pool's remaining workers have already been killed when this is
     raised.
     """
 
@@ -132,21 +109,26 @@ class WorkerDied(RuntimeError):
 
 @dataclass(frozen=True)
 class JobFailure:
-    """Picklable failure payload shipped back from a worker process.
-
-    ``cause`` carries the original exception only on the in-process
-    serial path (so :meth:`SerialExecutor.submit` can chain the real
-    traceback); process backends leave it ``None`` — exception objects
-    are not reliably picklable.
-    """
+    """Picklable failure payload shipped back from a worker process
+    (exception objects are not reliably picklable)."""
 
     kind: str
     message: str
-    cause: BaseException | None = field(default=None, compare=False)
 
 
-#: Backwards-compat private alias (pre-PR-9 name).
-_JobFailure = JobFailure
+@dataclass(frozen=True)
+class _Attempt:
+    """One supervised attempt of a job, as shipped to a worker.
+
+    Carries the attempt number so transient fault plants heal on retry;
+    a bare request always runs as attempt 0.
+    """
+
+    request: Any
+    attempt: int
+
+    def label(self) -> str:
+        return self.request.label()
 
 
 def _reset_worker_signals() -> None:
@@ -154,11 +136,10 @@ def _reset_worker_signals() -> None:
 
     Workers fork from a parent that may have installed a graceful
     SIGTERM -> ``SystemExit`` handler (the CLI does, so a killed sweep
-    flushes its manifest).  Inherited by a worker, that handler turns
-    the SIGTERM of ``Pool.terminate()``/pool teardown into an in-flight
-    ``SystemExit`` whose unwinding can deadlock against the pool's own
-    queues — the parent then blocks forever joining the worker.  Workers
-    must simply die on SIGTERM; the graceful part is the parent's job.
+    flushes its manifest).  Inherited by a worker, that handler turns a
+    teardown SIGTERM into an in-flight ``SystemExit`` whose unwinding
+    can deadlock against the pool's own queues.  Workers must simply die
+    on SIGTERM; the graceful part is the parent's job.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -167,34 +148,35 @@ def _reset_worker_signals() -> None:
 
 
 def _execute_job(job: IndexedJob) -> tuple[int, Any, float]:
-    """Worker body for the process backends (module-level: picklable).
+    """Worker body of the process pool (module-level: picklable).
 
     Failures come back as data (:class:`JobFailure`), not exceptions:
     the parent re-raises them as :class:`SweepJobError` with the job's
-    identity attached.  Armed fault plants (:mod:`.faults`) fire here —
-    a supervised attempt wrapper fires them itself (after writing its
-    start marker) and opts out via its ``supervised`` attribute.
+    identity attached.  Armed worker fault plants (:mod:`.faults`) fire
+    here, at the attempt number an :class:`_Attempt` carries.
     """
     from .harness import execute_request  # runtime import: avoids a cycle
 
     index, request = job
+    attempt = 0
+    if isinstance(request, _Attempt):
+        request, attempt = request.request, request.attempt
     start = time.perf_counter()
     try:
-        if not getattr(request, "supervised", False):
-            fire_worker_faults(index, attempt=0)
+        fire_worker_faults(index, attempt)
         record = execute_request(request)
     except Exception as exc:
         return index, JobFailure(type(exc).__name__, str(exc)), time.perf_counter() - start
     return index, record, time.perf_counter() - start
 
 
-def _serial_iter(jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
+def _run_serial(jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
     """Run jobs in-process, in submission order, chaining real tracebacks.
 
     Worker fault plants deliberately do **not** fire here: a planted
     ``crash`` would take the coordinator (and its manifest) down with
-    it.  Supervised "serial" execution promotes the job to a one-worker
-    pool instead and is fully chaos-capable.
+    it.  Supervised "serial" execution runs the job in a one-worker pool
+    instead and is fully chaos-capable.
     """
     from .harness import execute_request  # runtime import: avoids a cycle
 
@@ -209,45 +191,8 @@ def _serial_iter(jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
         yield index, record, time.perf_counter() - start
 
 
-def _serial_stream(jobs: Sequence[IndexedJob]) -> Iterator[tuple[int, Any, float]]:
-    """The failure-as-data flavor of :func:`_serial_iter`: a raising job
-    yields a :class:`JobFailure` (with the live exception chained for
-    callers that re-raise) and its siblings keep running."""
-    from .harness import execute_request  # runtime import: avoids a cycle
-
-    for index, request in jobs:
-        start = time.perf_counter()
-        try:
-            record = execute_request(request)
-        except Exception as exc:
-            yield (
-                index,
-                JobFailure(type(exc).__name__, str(exc), cause=exc),
-                time.perf_counter() - start,
-            )
-            continue
-        yield index, record, time.perf_counter() - start
-
-
-def _raise_failure(
-    index: int, failure: JobFailure, requests: dict[int, RunRequest]
-) -> None:
-    error = SweepJobError(
-        index, requests[index].label(), failure.kind, failure.message
-    )
-    if failure.cause is not None:
-        raise error from failure.cause
-    raise error
-
-
-def _raising(
-    stream: Iterator[tuple[int, Any, float]], requests: dict[int, RunRequest]
-) -> Iterator[SettledJob]:
-    """Adapt a failure-as-data stream to the raising ``submit`` contract."""
-    for index, payload, elapsed in stream:
-        if isinstance(payload, JobFailure):
-            _raise_failure(index, payload, requests)
-        yield index, payload, elapsed
+def _job_error(index: int, request: Any, failure: JobFailure) -> SweepJobError:
+    return SweepJobError(index, request.label(), failure.kind, failure.message)
 
 
 @runtime_checkable
@@ -258,11 +203,10 @@ class Executor(Protocol):
     *any* order — the harness reassembles records by index.  A failing
     job must surface as :class:`SweepJobError`.
 
-    Backends may additionally offer the supervision surface the built-ins
-    provide — ``stream(jobs)`` yielding failures as :class:`JobFailure`
-    data instead of raising, and ``abort()`` force-killing live workers —
-    which is what :class:`~repro.experiments.supervise.SupervisedExecutor`
-    requires of its inner backend.
+    Supervision (:class:`~repro.experiments.supervise.SupervisedExecutor`)
+    additionally needs the persistent surface :class:`PoolExecutor`
+    provides: ``open()``, ``await run_one(job)``, ``kill()``, ``close()``
+    and a ``workers`` count.
     """
 
     name: str
@@ -357,305 +301,122 @@ class SerialExecutor:
         pass
 
     def submit(self, jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
-        return _serial_iter(jobs)
-
-    def stream(self, jobs: Sequence[IndexedJob]) -> Iterator[tuple[int, Any, float]]:
-        return _serial_stream(jobs)
-
-    def abort(self) -> None:
-        """No workers to kill; in-process jobs cannot be interrupted."""
+        return _run_serial(jobs)
 
 
-#: Poll interval for worker-death detection: how often a blocking settle
-#: wait wakes up to check that the workers are still alive.
-_DEATH_POLL = 0.1
+def _kill_pool(pool: ProcessPoolExecutor, wait: bool) -> None:
+    """SIGKILL every worker of ``pool``, then shut it down.
 
-
-def _kill_processes(processes: Sequence[Any]) -> None:
-    """SIGKILL every live process — the teardown path that cannot be
-    refused (a worker ignoring SIGTERM wedges graceful termination)."""
-    for proc in processes:
+    SIGKILL cannot be refused, so a worker that ignores SIGTERM or hangs
+    in a job cannot wedge teardown; the pool notices the deaths and
+    fails every unsettled future with ``BrokenProcessPool``.
+    """
+    for process in list(pool._processes.values()):
         try:
-            if proc.is_alive():
-                proc.kill()
-        except (OSError, ValueError, AttributeError):  # pragma: no cover
+            process.kill()
+        except (OSError, ValueError):  # pragma: no cover - already reaped
             pass
+    pool.shutdown(wait=wait)
 
 
-def _abandon_pool(pool: Any) -> None:
-    """Walk away from a ``multiprocessing.Pool`` whose workers were
-    force-killed, instead of ``terminate()``-ing it.
-
-    An idle worker blocked in ``inqueue.get()`` holds the queue's reader
-    lock while it waits; SIGKILL orphans that lock, and ``terminate()``
-    then deadlocks forever in ``_help_stuff_finish`` trying to acquire
-    it (the stock path is only live because running workers eventually
-    consume the sentinels and release the lock).  So on the broken path:
-    flip every handler thread to TERMINATE (stopping the worker handler
-    *before* it respawns replacements), cancel the terminate finalizer
-    (it would re-run the deadlocking code at interpreter exit), and
-    re-kill any worker the respawn race slipped in.  The daemonic helper
-    threads are reaped with the process.
-    """
-    from multiprocessing.pool import TERMINATE  # state flag, not a function
-
-    pool._state = TERMINATE
-    for name in ("_worker_handler", "_task_handler", "_result_handler"):
-        handler = getattr(pool, name, None)
-        if handler is not None:
-            handler._state = TERMINATE
-    handler = getattr(pool, "_worker_handler", None)
-    if handler is not None:
-        handler.join(timeout=1.0)
-    _kill_processes(getattr(pool, "_pool", ()))
-    finalizer = getattr(pool, "_terminate", None)
-    cancel = getattr(finalizer, "cancel", None)
-    if callable(cancel):
-        cancel()
-
-
-def _retire_pool(pool: Any) -> None:
-    """Signal-free clean-path teardown of a ``multiprocessing.Pool``.
-
-    ``terminate()`` retires workers with SIGTERM — which a worker that
-    ran the ``refuse-sigterm`` fault plant ignores, leaking it (and then
-    wedging interpreter exit when atexit tries to join it).  ``close()``
-    retires workers with queue sentinels instead, immune to signal
-    dispositions; any worker still alive after a bounded wait gets
-    SIGKILL, which has no disposition at all.  Only then is ``join()``
-    safe unconditionally.
-    """
-    pool.close()
-    workers = list(getattr(pool, "_pool", ()))
-    deadline = time.monotonic() + 5.0
-    while (
-        any(p.exitcode is None for p in workers)
-        and time.monotonic() < deadline
-    ):
-        time.sleep(0.01)
-    stragglers = [p for p in workers if p.exitcode is None]
-    if stragglers:
-        _kill_processes(stragglers)
-    pool.join()
-
-
+@register_executor("async-local")
 @register_executor("pool")
 class PoolExecutor:
-    """``multiprocessing.Pool`` fan-out — the pre-redesign strategy.
+    """The one out-of-process backend: a ``ProcessPoolExecutor``.
 
-    Pinned behavior of the ``workers=`` compat shim: the pool size is
-    capped at the job count, and a single job or single worker runs
-    in-process (no pool spawn), exactly as ``run_requests(workers=N)``
-    always did.  ``force_pool=True`` disables that fast path — the
-    supervisor needs even one job in an out-of-process worker so it can
-    kill and retry it.
+    Batch :meth:`submit` keeps the pinned behavior of the ``workers=``
+    compat shim: the pool is capped at the job count, and a single job
+    or single worker runs in-process (no pool spawn), exactly as
+    ``run_requests(workers=N)`` always did.
 
-    Worker death (SIGKILL, ``os._exit``) is *detected*, not dead-locked
-    on: settles are consumed with a timeout and the worker processes'
-    liveness is polled between waits.  Python's ``Pool`` silently drops
-    the dead worker's job (and respawns a replacement), so the only
-    honest surface is :class:`WorkerDied` naming the unsettled jobs.
+    The persistent mode (:meth:`open`, :meth:`run_one`, :meth:`kill`,
+    :meth:`close`) keeps one pool of ``workers`` processes alive across
+    jobs awaited from a caller-owned event loop.  Every job runs out of
+    process there, so a crashed or hung one can be killed and retried.
     """
 
     name = "pool"
 
-    def __init__(self, workers: int | None = None, force_pool: bool = False) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = _default_workers(workers)
-        self.force_pool = force_pool
-        self._live_pool: Any = None
-
-    def submit(self, jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
-        jobs = list(jobs)
-        return _raising(self.stream(jobs), dict(jobs))
-
-    def stream(self, jobs: Sequence[IndexedJob]) -> Iterator[tuple[int, Any, float]]:
-        jobs = list(jobs)
-        if not self.force_pool and (self.workers <= 1 or len(jobs) <= 1):
-            yield from _serial_stream(jobs)
-            return
-        unsettled = {index for index, _ in jobs}
-        pool = multiprocessing.Pool(
-            processes=max(1, min(self.workers, len(jobs))),
-            initializer=_reset_worker_signals,
-        )
-        self._live_pool = pool
-        broken = False
-        try:
-            # The pool's supervisor thread replaces dead workers in
-            # pool._pool; snapshot the originals so a death is
-            # observable (a worker only ever exits abnormally —
-            # normal workers outlive the jobs).
-            original_workers = list(pool._pool)
-            settles = pool.imap_unordered(_execute_job, jobs, chunksize=1)
-            while unsettled:
-                try:
-                    index, payload, elapsed = settles.next(timeout=_DEATH_POLL)
-                except multiprocessing.TimeoutError:
-                    dead = [
-                        p for p in original_workers if p.exitcode is not None
-                    ]
-                    if dead:
-                        broken = True
-                        _kill_processes(pool._pool)
-                        raise WorkerDied(
-                            sorted(unsettled),
-                            detail=f"exit codes {[p.exitcode for p in dead]}",
-                        ) from None
-                    continue
-                except StopIteration:  # pragma: no cover - defensive
-                    break
-                unsettled.discard(index)
-                yield index, payload, elapsed
-        finally:
-            self._live_pool = None
-            if broken:
-                _abandon_pool(pool)
-            else:
-                _retire_pool(pool)
-
-    def abort(self) -> None:
-        """Force-kill the workers of a live :meth:`stream` (SIGKILL —
-        escalation-proof against workers that ignore SIGTERM)."""
-        pool = self._live_pool
-        if pool is not None:
-            _kill_processes(list(pool._pool))
-
-
-@register_executor("async-local")
-class AsyncLocalExecutor:
-    """asyncio coordinator over a ``concurrent.futures`` process pool.
-
-    Same one-box parallelism as ``pool``, but jobs are awaited on an
-    event loop and yielded as each completes — the coordination shape a
-    multi-host work-stealing backend (and ``freezetag serve``) needs,
-    where dispatch interleaves with network traffic instead of blocking
-    in ``imap_unordered``.  Degrades to the serial path for a single job
-    or worker, mirroring :class:`PoolExecutor`.
-
-    Two driving modes share the same worker body:
-
-    * :meth:`submit` — the batch :class:`Executor` protocol, spinning a
-      private event loop per call (what ``freezetag sweep`` uses);
-    * :meth:`open` / :meth:`run_one` / :meth:`close` — a persistent pool
-      awaited from a *caller-owned* running loop, one job at a time.
-      This is the service seam: ``freezetag serve``'s single-writer job
-      queue keeps one opened executor alive for the process lifetime and
-      awaits jobs as submissions arrive.
-    """
-
-    name = "async-local"
-
-    def __init__(self, workers: int | None = None, force_pool: bool = False) -> None:
-        self.workers = _default_workers(workers)
-        self.force_pool = force_pool
         self._pool: ProcessPoolExecutor | None = None
-        self._live_pool: ProcessPoolExecutor | None = None
 
-    # -- persistent async mode (``freezetag serve``) ------------------------
-
-    def open(self) -> "AsyncLocalExecutor":
-        """Start the long-lived worker pool for :meth:`run_one` (idempotent)."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=max(1, self.workers),
-                initializer=_reset_worker_signals,
-            )
-        return self
-
-    async def run_one(self, job: IndexedJob) -> SettledJob:
-        """Await one job on the opened pool from the running event loop.
-
-        Raises :class:`SweepJobError` when the job fails; the event loop
-        is never blocked — the simulation runs in a worker process.
-        """
-        if self._pool is None:
-            raise RuntimeError("executor not opened; call open() first")
-        index, request = job
-        loop = asyncio.get_running_loop()
-        index, payload, elapsed = await loop.run_in_executor(
-            self._pool, _execute_job, job
+    @staticmethod
+    def _spawn(workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=max(1, workers), initializer=_reset_worker_signals
         )
-        if isinstance(payload, _JobFailure):
-            _raise_failure(index, payload, {index: request})
-        return index, payload, elapsed
-
-    def close(self) -> None:
-        """Shut the persistent pool down (idempotent; jobs are drained)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def kill(self) -> None:
-        """Tear the persistent pool down *now*: SIGKILL the workers and
-        abandon in-flight jobs (their awaiters see ``BrokenProcessPool``).
-
-        The scheduler's stall watchdog uses this to recycle a wedged
-        executor — ``close()`` would block behind the very job that is
-        hung.  Idempotent, like :meth:`close`.
-        """
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            _kill_processes(list(pool._processes.values()))
-            pool.shutdown(wait=False, cancel_futures=True)
 
     # -- batch Executor protocol --------------------------------------------
 
     def submit(self, jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
         jobs = list(jobs)
-        return _raising(self.stream(jobs), dict(jobs))
+        if self.workers <= 1 or len(jobs) <= 1:
+            return _run_serial(jobs)
+        return self._fan_out(jobs)
 
-    def stream(self, jobs: Sequence[IndexedJob]) -> Iterator[tuple[int, Any, float]]:
-        jobs = list(jobs)
-        if not self.force_pool and (self.workers <= 1 or len(jobs) <= 1):
-            yield from _serial_stream(jobs)
-            return
-        unsettled = {index for index, _ in jobs}
-        loop = asyncio.new_event_loop()
+    def _fan_out(self, jobs: list[IndexedJob]) -> Iterator[SettledJob]:
+        requests = dict(jobs)
+        unsettled = set(requests)
+        pool = self._spawn(min(self.workers, len(jobs)))
         try:
-            with ProcessPoolExecutor(
-                max_workers=max(1, min(self.workers, len(jobs))),
-                initializer=_reset_worker_signals,
-            ) as pool:
-                self._live_pool = pool
+            futures = [pool.submit(_execute_job, job) for job in jobs]
+            for future in as_completed(futures):
                 try:
-                    futures = {
-                        loop.run_in_executor(pool, _execute_job, job)
-                        for job in jobs
-                    }
-                    while futures:
-                        settled, futures = loop.run_until_complete(
-                            asyncio.wait(
-                                futures, return_when=asyncio.FIRST_COMPLETED
-                            )
-                        )
-                        for future in settled:
-                            try:
-                                index, payload, elapsed = future.result()
-                            except BrokenProcessPool:
-                                # A dead worker breaks *every* pending
-                                # future at once; the unsettled set is
-                                # the honest report.  Drain the sibling
-                                # futures' exceptions so asyncio does
-                                # not log "never retrieved" at GC.
-                                _kill_processes(list(pool._processes.values()))
-                                leftovers = (futures | settled) - {future}
-                                if leftovers:
-                                    loop.run_until_complete(
-                                        asyncio.gather(
-                                            *leftovers, return_exceptions=True
-                                        )
-                                    )
-                                raise WorkerDied(sorted(unsettled)) from None
-                            unsettled.discard(index)
-                            yield index, payload, elapsed
-                finally:
-                    self._live_pool = None
+                    index, payload, elapsed = future.result()
+                except BrokenProcessPool:
+                    raise WorkerDied(sorted(unsettled)) from None
+                unsettled.discard(index)
+                if isinstance(payload, JobFailure):
+                    raise _job_error(index, requests[index], payload)
+                yield index, payload, elapsed
         finally:
-            loop.close()
+            # Abandoned early (a failure, a dead worker, SIGTERM): the
+            # remaining jobs are not worth waiting for.
+            if unsettled:
+                _kill_pool(pool, wait=True)
+            else:
+                pool.shutdown()
 
-    def abort(self) -> None:
-        """Force-kill the workers of a live :meth:`stream` (SIGKILL)."""
-        pool = self._live_pool
+    # -- persistent mode (supervision, ``freezetag serve``) ------------------
+
+    def open(self) -> "PoolExecutor":
+        """Start the long-lived worker pool for :meth:`run_one` (idempotent)."""
+        if self._pool is None:
+            self._pool = self._spawn(self.workers)
+        return self
+
+    async def run_one(self, job: IndexedJob) -> SettledJob:
+        """Await one job on the opened pool from the running event loop.
+
+        Raises :class:`SweepJobError` when the job fails and
+        ``BrokenProcessPool`` when the pool breaks under it (a worker
+        died, or :meth:`kill` ran).  The event loop is never blocked —
+        the simulation runs in a worker process.
+        """
+        if self._pool is None:
+            raise RuntimeError("executor not opened; call open() first")
+        index, request = job
+        future = self._pool.submit(_execute_job, job)
+        index, payload, elapsed = await asyncio.wrap_future(future)
+        if isinstance(payload, JobFailure):
+            raise _job_error(index, request, payload)
+        return index, payload, elapsed
+
+    def kill(self) -> None:
+        """Tear the persistent pool down *now*: SIGKILL the workers and
+        abandon in-flight jobs (their awaiters see ``BrokenProcessPool``).
+
+        ``close()`` would block behind the very job that is hung.
+        Idempotent, like :meth:`close`; :meth:`open` starts a fresh pool.
+        """
+        pool, self._pool = self._pool, None
         if pool is not None:
-            _kill_processes(list(pool._processes.values()))
+            _kill_pool(pool, wait=False)
+
+    def close(self) -> None:
+        """Shut the persistent pool down (idempotent; queued jobs are
+        cancelled, running ones drain)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

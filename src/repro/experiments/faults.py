@@ -1,8 +1,6 @@
 """Structured fault-injection registry: the ``FREEZETAG_FAULTS`` contract.
 
-PR 8 proved the planted-fault pattern with a single ad-hoc env var
-(``FREEZETAG_FAULT_FRONTIER_REACH``).  This module generalizes it into a
-small registry of **named, deterministically-activated fault plants**
+A small registry of **named, deterministically-activated fault plants**
 shared by the chaos tests, the chaos-smoke CI job and the fuzzer — the
 adversary the supervision layer (:mod:`repro.experiments.supervise`) is
 tested against.
@@ -21,7 +19,7 @@ Examples::
     slow@1,3:seconds=0.2         # jobs 1 and 3 run 0.2s late, then succeed
     refuse-sigterm@*             # workers ignore SIGTERM (kill must escalate)
     corrupt@*:times=1            # truncate the first cache entry written
-    frontier-reach:margin=0.5    # shrink awave's frontier reach (PR-8 fault)
+    frontier-reach:margin=0.5    # shrink awave's frontier reach
 
 Determinism: a plant fires as a pure function of ``(kind, selector,
 job index, attempt number)`` — no clocks, no randomness, no cross-process
@@ -69,11 +67,6 @@ __all__ = [
 #: The shared fault-plant contract: tests, chaos CI and the fuzzer all
 #: plant faults by setting this one environment variable.
 FAULTS_ENV = "FREEZETAG_FAULTS"
-
-#: Legacy PR-8 hook, kept as an alias: a bare float in this variable is
-#: equivalent to ``frontier-reach:margin=<float>`` (tests and committed
-#: fuzz seeds still reference it).
-LEGACY_REACH_ENV = "FREEZETAG_FAULT_FRONTIER_REACH"
 
 #: Every registered fault kind and where it fires.
 FAULT_KINDS = (
@@ -265,12 +258,11 @@ def _matching(kinds: Iterable[str], index: int, attempt: int) -> list[FaultPlant
 def fire_worker_faults(index: int, attempt: int) -> None:
     """Fire every armed worker-side plant matching ``(index, attempt)``.
 
-    Called in the worker process at the top of a job body, after the
-    supervision start marker is written (so a crashed job is known to
-    have been in flight).  Ordering is fixed: ``refuse-sigterm`` first
-    (it must be armed before anything can try to terminate the worker),
-    then ``slow``/``hang`` delays, then ``flaky``, then ``crash`` —
-    ``crash`` last so a combined plant exercises the messier state.
+    Called in the worker process at the top of a job body.  Ordering is
+    fixed: ``refuse-sigterm`` first (it must be armed before anything can
+    try to terminate the worker), then ``slow``/``hang`` delays, then
+    ``flaky``, then ``crash`` — ``crash`` last so a combined plant
+    exercises the messier state.
     """
     plants = _matching(_WORKER_KINDS, index, attempt)
     if not plants:
@@ -344,14 +336,10 @@ def corrupt_after_store(path: "os.PathLike[str] | str") -> bool:
 
 
 def frontier_reach_deficit() -> float:
-    """The armed ``frontier-reach`` margin, or 0.0 when unplanted.
-
-    Honors both the structured registry (``FREEZETAG_FAULTS=
-    frontier-reach:margin=0.5``) and the legacy PR-8 variable
-    (``FREEZETAG_FAULT_FRONTIER_REACH=0.5``) — committed fuzz seeds and
-    existing tests keep working; new plumbing uses the registry.
-    """
-    margin = max(
+    """The armed ``frontier-reach`` margin
+    (``FREEZETAG_FAULTS=frontier-reach:margin=0.5``), or 0.0 when
+    unplanted."""
+    return max(
         (
             plant.margin
             for plant in active_plants()
@@ -359,10 +347,3 @@ def frontier_reach_deficit() -> float:
         ),
         default=0.0,
     )
-    raw = os.environ.get(LEGACY_REACH_ENV, "")
-    if raw:
-        try:
-            margin = max(margin, float(raw))
-        except ValueError:  # malformed legacy value: inert, as always
-            pass
-    return max(0.0, margin)

@@ -238,12 +238,6 @@ class SweepSpec:
         return expand_spec(self)
 
 
-#: ``algorithm_params`` names routed through the dedicated legacy
-#: :class:`RunRequest` fields (cache-key compat shim); everything else
-#: travels via the generic ``params`` mapping.
-_LEGACY_PARAM_NAMES = frozenset({"ell", "rho", "enforce_budget", "solver"})
-
-
 def expand_spec(spec: SweepSpec) -> list[RunRequest]:
     """Expand a spec into its independent jobs, in deterministic order.
 
@@ -285,14 +279,11 @@ def expand_spec(spec: SweepSpec) -> list[RunRequest]:
         context: str,
         **request_kwargs: Any,
     ) -> RunRequest:
-        legacy = {k: v for k, v in params.items() if k in _LEGACY_PARAM_NAMES}
-        extra = {k: v for k, v in params.items() if k not in _LEGACY_PARAM_NAMES}
         try:
             return RunRequest(
                 algorithm=algorithm,
                 collect=spec.collect,
-                params=extra,
-                **legacy,
+                params=dict(params),
                 **request_kwargs,
             )
         except ValueError as exc:
@@ -471,6 +462,18 @@ def execute_request(request: RunRequest) -> dict[str, Any]:
     return json.loads(canonical_json(record))
 
 
+def _backend(
+    executor: Executor | str | None,
+    workers: int | None,
+    policy: SupervisorPolicy | None,
+) -> Executor:
+    """Resolve the backend once; a ``policy`` wraps it in supervision."""
+    backend = resolve_executor(executor, workers=workers)
+    if policy is not None and not isinstance(backend, SupervisedExecutor):
+        backend = SupervisedExecutor(inner=backend, policy=policy)
+    return backend
+
+
 def run_requests(
     requests: Sequence[RunRequest],
     workers: int | None = None,
@@ -511,9 +514,7 @@ def run_requests(
     the manifest as ``error`` and **never cached**, so a later run
     retries it.
     """
-    backend = resolve_executor(executor, workers=workers)
-    if policy is not None and not isinstance(backend, SupervisedExecutor):
-        backend = SupervisedExecutor(inner=backend, policy=policy)
+    backend = _backend(executor, workers, policy)
     total = len(requests)
     records: list[dict[str, Any] | None] = [None] * total
     done = hits = misses = 0
@@ -600,9 +601,7 @@ def run_sweep(
     :attr:`SweepResult.quarantined`.
     """
     requests = spec.expand()
-    backend = resolve_executor(executor, workers=workers)
-    if policy is not None and not isinstance(backend, SupervisedExecutor):
-        backend = SupervisedExecutor(inner=backend, policy=policy)
+    backend = _backend(executor, workers, policy)
     sweep_manifest: SweepManifest | None = None
     if cache is not None and manifest is not False:
         sweep_manifest = (

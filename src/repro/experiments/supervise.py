@@ -1,63 +1,68 @@
 """Supervised execution: timeout, retry, backoff, quarantine.
 
-:class:`SupervisedExecutor` wraps any backend that offers the built-ins'
-``stream()``/``abort()`` surface and turns the raw failure channels —
-:class:`~repro.experiments.executors.JobFailure` payloads,
-:class:`~repro.experiments.executors.WorkerDied`, wall-clock hangs —
-into a policy:
+One async attempt loop, :class:`Supervisor`, serves both ``freezetag
+sweep`` (:class:`SupervisedExecutor` drives it on a private event loop)
+and ``freezetag serve`` (:class:`~repro.service.scheduler.JobScheduler`
+drives it from the service loop).  It runs every attempt through the
+persistent surface of :class:`~repro.experiments.executors.PoolExecutor`
+(``open``/``run_one``/``kill``) and applies one policy:
 
-* **timeout** — a per-job wall clock measured from the moment the job's
-  worker actually *starts* it (a start-marker file written by the
-  attempt wrapper, so queued-but-unstarted jobs never time out);
-* **retry** — a failed or timed-out attempt is rescheduled with
-  deterministic exponential backoff plus seeded jitter (pure function
-  of ``(seed, job index, attempt)`` — reruns behave identically);
-* **pool replacement** — a worker death kills the round's surviving
-  workers (SIGKILL: escalation-proof), bumps only the attempts of jobs
-  that were *in flight* (the start-marker ledger knows), and resubmits
-  everything unsettled — innocent victims are not charged an attempt;
-* **quarantine** — a job that exhausts its retry budget settles as an
-  error *record* (data, never an exception): siblings keep running, the
-  harness checkpoints the error to the sweep manifest, and the record is
-  **not** cached — a later run retries the job from scratch.
+* **dispatch** — at most ``workers`` attempts in flight, so a dispatched
+  job is a running job;
+* **timeout** — each attempt is bounded by ``job_timeout`` with
+  ``asyncio.wait_for``;
+* **recycle** — a timeout or a broken pool replaces the worker pool
+  (SIGKILL, then a fresh pool) once per break, however many in-flight
+  jobs the break took down;
+* **retry** — a charged attempt is rescheduled after a deterministic
+  exponential backoff with seeded jitter (pure function of ``(seed, job
+  index, attempt)`` — reruns behave identically);
+* **quarantine** — a job charged ``retries + 1`` times gives up: a
+  sweep settles it as an error *record* (data, never an exception; not
+  cached, so a later run retries it), the service as a ``JobError``.
+
+The charging rule — which attempts count against a job's budget:
+
+* a job is charged for its own failure and for its own timeout;
+* a job is charged for a pool break it was in flight for, unless the
+  supervisor killed the pool for a timeout: a worker death and a
+  recycle by the service's stall watchdog are charged;
+* jobs killed by the recycle for *another* job's timeout rerun
+  uncharged, at the same attempt number;
+* ``worker_deaths`` counts only pool breaks no recycle caused (a
+  worker died on its own).
 
 Because a quarantine-free supervised run yields exactly the records the
-inner backend would have produced, sweep output stays **byte-identical**
-to an unsupervised clean run — the chaos matrix
+unsupervised backend would have produced, sweep output stays
+**byte-identical** to a clean run — the chaos matrix
 (``tests/experiments/test_supervise.py``) byte-diffs exactly that under
 every planted fault in :mod:`repro.experiments.faults`.
-
-The in-process ``serial`` backend cannot survive a crashed or hung job
-(the job *is* the coordinator), so supervising "serial" promotes it to a
-single out-of-process worker — same records, one job at a time, fully
-chaos-capable.
 """
 
 from __future__ import annotations
 
-import queue
+import asyncio
 import random
-import tempfile
-import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Sequence
 
 from .executors import (
-    AsyncLocalExecutor,
     Executor,
     IndexedJob,
-    JobFailure,
     PoolExecutor,
     SettledJob,
+    SweepJobError,
     WorkerDied,
+    _Attempt,
     register_executor,
     resolve_executor,
 )
-from .faults import fire_worker_faults
 
 __all__ = [
+    "AttemptsExhausted",
+    "Supervisor",
     "SupervisorPolicy",
     "SupervisorStats",
     "SupervisedExecutor",
@@ -69,9 +74,9 @@ __all__ = [
 class SupervisorPolicy:
     """The supervision knobs (all deterministic; see :meth:`backoff`).
 
-    ``retries`` is the number of *re*-attempts: a job runs at most
-    ``retries + 1`` times before quarantine.  ``job_timeout`` is wall
-    clock from worker-side start; ``None`` disables the watchdog.
+    ``retries`` is the number of *re*-attempts: a job is charged at most
+    ``retries + 1`` attempts before quarantine.  ``job_timeout`` bounds
+    each attempt's wall clock from dispatch; ``None`` disables it.
     """
 
     job_timeout: float | None = None
@@ -81,9 +86,6 @@ class SupervisorPolicy:
     backoff_max: float = 2.0
     jitter: float = 0.25
     seed: int = 0
-    #: Supervisor wake-up interval: settle-wait granularity and the
-    #: resolution of the timeout watchdog.
-    poll: float = 0.05
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -111,56 +113,33 @@ class SupervisorPolicy:
 
 @dataclass
 class SupervisorStats:
-    """Counters accumulated across one supervisor's lifetime."""
+    """Counters accumulated across one supervisor's lifetime.
+
+    ``retried`` counts charged attempts that were rescheduled,
+    ``quarantined`` jobs that spent their budget, ``timeouts`` attempts
+    killed for exceeding ``job_timeout``, ``worker_deaths`` pool breaks
+    no recycle caused, and ``pools_recycled`` every pool replacement,
+    whatever its cause.
+    """
 
     retried: int = 0
     quarantined: int = 0
     worker_deaths: int = 0
     timeouts: int = 0
-    rounds: int = 0
+    pools_recycled: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "retried": self.retried,
-            "quarantined": self.quarantined,
-            "worker_deaths": self.worker_deaths,
-            "timeouts": self.timeouts,
-            "rounds": self.rounds,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class _Attempt:
-    """Picklable per-attempt wrapper shipped to the worker.
+class AttemptsExhausted(Exception):
+    """A job was charged its last allowed attempt; carries that failure."""
 
-    Carries the attempt number (so transient fault plants heal on
-    retry) and writes the start marker the timeout watchdog reads.
-    ``supervised`` tells the worker body the wrapper fires fault plants
-    itself — *after* the marker, so a crashed job is provably in flight.
-    """
-
-    request: Any
-    index: int
-    attempt: int
-    ledger: str | None
-
-    supervised = True
-
-    def label(self) -> str:
-        inner = getattr(self.request, "label", None)
-        return inner() if callable(inner) else f"job #{self.index}"
-
-    def execute_record(self) -> dict[str, Any]:
-        if self.ledger is not None:
-            marker = Path(self.ledger) / f"{self.index}.{self.attempt}.started"
-            try:
-                marker.write_text(str(time.time()))
-            except OSError:  # ledger vanished mid-teardown: lose the marker
-                pass
-        fire_worker_faults(self.index, self.attempt)
-        from .harness import execute_request  # runtime import: avoids a cycle
-
-        return execute_request(self.request)
+    def __init__(self, kind: str, message: str, attempts: int) -> None:
+        self.kind = kind
+        self.message = message
+        self.attempts = attempts
+        super().__init__(f"{kind}: {message} (after {attempts} attempt(s))")
 
 
 def quarantine_record(
@@ -186,21 +165,116 @@ def quarantine_record(
     return record
 
 
-@dataclass
-class _JobState:
-    request: Any
-    attempts: int = 0
-    eligible_at: float = 0.0
+class Supervisor:
+    """The attempt loop over an opened persistent pool.
+
+    ``policy=None`` keeps the unsupervised service behavior: one attempt,
+    no timeout, and a failure is not counted as a quarantine.  Must be
+    driven from a single event loop; ``stats`` may be shared with a
+    caller that reports it (the service's telemetry does).
+    """
+
+    def __init__(
+        self,
+        executor: Any,
+        policy: SupervisorPolicy | None = None,
+        stats: SupervisorStats | None = None,
+    ) -> None:
+        self.executor = executor
+        self.policy = policy
+        self.stats = stats if stats is not None else SupervisorStats()
+        #: When an attempt last ended or the pool was last replaced: the
+        #: heartbeat the service's stall watchdog reads.
+        self.last_beat = time.monotonic()
+        self._slots = asyncio.Semaphore(max(1, executor.workers))
+        self._generation = 0
+        #: Pool generations the supervisor killed for a timeout: breaks
+        #: their other in-flight jobs are not charged for.
+        self._timeout_kills: set[int] = set()
+
+    @property
+    def generation(self) -> int:
+        """How many times the pool has been replaced."""
+        return self._generation
+
+    def beat(self) -> None:
+        self.last_beat = time.monotonic()
+
+    def recycle(self, generation: int, for_timeout: bool = False) -> bool:
+        """Replace the pool of ``generation`` (SIGKILL, then a fresh pool).
+
+        Every job in flight when a pool breaks observes the break, but
+        only the first recycles; the rest find a newer generation.
+        ``for_timeout`` marks the kill as the supervisor's own, so the
+        jobs it takes down rerun uncharged.  Returns whether this call
+        replaced the pool.
+        """
+        if generation != self._generation:
+            return False
+        if for_timeout:
+            self._timeout_kills.add(generation)
+        self._generation += 1
+        self.stats.pools_recycled += 1
+        self.beat()
+        self.executor.kill()
+        self.executor.open()
+        return True
+
+    async def run(self, index: int, request: Any) -> SettledJob:
+        """Settle job ``index``: its ``(index, record, elapsed)``.
+
+        Raises :class:`AttemptsExhausted` once the job has been charged
+        ``retries + 1`` attempts (one without a policy).
+        """
+        policy = self.policy
+        timeout = policy.job_timeout if policy is not None else None
+        retries = policy.retries if policy is not None else 0
+        attempts = 0
+        while True:
+            # A supervised attempt carries its number, so transient fault
+            # plants heal on retry.
+            payload = _Attempt(request, attempts) if policy is not None else request
+            async with self._slots:
+                generation = self._generation
+                try:
+                    settle = self.executor.run_one((index, payload))
+                    return await asyncio.wait_for(settle, timeout)
+                except TimeoutError:
+                    # The worker is still grinding the job; only a pool
+                    # replacement actually stops it.
+                    self.stats.timeouts += 1
+                    self.recycle(generation, for_timeout=True)
+                    kind, message = "JobTimeout", f"exceeded job timeout of {timeout}s"
+                except (BrokenProcessPool, WorkerDied) as exc:
+                    if generation in self._timeout_kills:
+                        continue  # killed for another job's timeout
+                    if self.recycle(generation):
+                        self.stats.worker_deaths += 1
+                    kind, message = type(exc).__name__, str(exc) or "worker pool broke"
+                except SweepJobError as exc:
+                    kind, message = exc.kind, exc.message
+                except RuntimeError as exc:  # pool closed mid-flight, pickling, OS
+                    kind, message = type(exc).__name__, str(exc)
+                finally:
+                    self.beat()
+            attempts += 1
+            if attempts > retries:
+                if policy is not None:
+                    self.stats.quarantined += 1
+                raise AttemptsExhausted(kind, message, attempts)
+            self.stats.retried += 1
+            await asyncio.sleep(policy.backoff(index, attempts))
 
 
 @register_executor("supervised")
 class SupervisedExecutor:
-    """Retry/timeout/quarantine supervision over an inner backend.
+    """Retry/timeout/quarantine supervision for batch sweeps.
 
     ``inner`` is a backend name, ``None`` (the ``workers=`` compat
-    resolution) or an instance offering ``stream()``; "serial" (and the
-    single-worker resolution of ``None``) is promoted to a one-worker
-    out-of-process pool so crash and hang faults cannot take the
+    resolution) or an instance offering the persistent pool surface
+    (``open``/``run_one``/``kill``/``close``).  "serial" (and the
+    single-worker resolution of ``None``) becomes a one-worker
+    :class:`PoolExecutor`: a crashed or hung job must not take the
     coordinator down.  Registered as ``"supervised"`` with the default
     policy, so ``freezetag sweep --executor supervised`` works; the CLI's
     ``--job-timeout``/``--retries`` knobs build an explicit policy.
@@ -221,20 +295,15 @@ class SupervisedExecutor:
             else resolve_executor(inner, workers=workers)
         )
         if base.name == "serial":
-            base = PoolExecutor(workers=1, force_pool=True)
-        elif isinstance(base, (PoolExecutor, AsyncLocalExecutor)):
-            # One job must still run out of process to be killable.
-            base.force_pool = True
-        if not callable(getattr(base, "stream", None)):
+            base = PoolExecutor(workers=1)
+        if not callable(getattr(base, "run_one", None)):
             raise ValueError(
-                f"executor {base.name!r} offers no stream(); supervision "
-                "needs the failure-as-data surface of the built-in backends"
+                f"executor {base.name!r} offers no run_one(); supervision "
+                "needs the persistent pool surface of PoolExecutor"
             )
-        self.inner: Executor = base
-        self.workers = getattr(base, "workers", 1)
+        self.inner: Any = base
+        self.workers = base.workers
         self.stats = SupervisorStats()
-
-    # -- Executor protocol ---------------------------------------------------
 
     def submit(self, jobs: Sequence[IndexedJob]) -> Iterator[SettledJob]:
         """Settle every job: successes verbatim, quarantines as error data.
@@ -243,195 +312,34 @@ class SupervisedExecutor:
         caller sees those only as ``quarantined`` records (and the
         running counters in :attr:`stats`).
         """
-        jobs = list(jobs)
-        pending: dict[int, _JobState] = {
-            index: _JobState(request=request) for index, request in jobs
-        }
-        with tempfile.TemporaryDirectory(prefix="freezetag-supervise-") as ledger:
+        loop = asyncio.new_event_loop()
+        supervisor = Supervisor(self.inner, self.policy, self.stats)
+
+        async def settle(index: int, request: Any) -> SettledJob:
+            try:
+                return await supervisor.run(index, request)
+            except AttemptsExhausted as failure:
+                record = quarantine_record(
+                    request, index, failure.kind, failure.message, failure.attempts
+                )
+                return index, record, 0.0
+
+        pending: set[asyncio.Task] = set()
+        try:
+            self.inner.open()
+            pending = {loop.create_task(settle(i, request)) for i, request in jobs}
             while pending:
-                now = time.monotonic()
-                ready = sorted(
-                    index
-                    for index, state in pending.items()
-                    if state.eligible_at <= now
+                done, pending = loop.run_until_complete(
+                    asyncio.wait(pending, return_when=asyncio.FIRST_COMPLETED)
                 )
-                if not ready:
-                    next_at = min(s.eligible_at for s in pending.values())
-                    time.sleep(min(max(0.0, next_at - now), self.policy.poll))
-                    continue
-                batch = [
-                    (
-                        index,
-                        _Attempt(
-                            request=pending[index].request,
-                            index=index,
-                            attempt=pending[index].attempts,
-                            ledger=ledger,
-                        ),
-                    )
-                    for index in ready
-                ]
-                yield from self._round(batch, pending, ledger)
-
-    # -- one round -----------------------------------------------------------
-
-    def _round(
-        self,
-        batch: list[tuple[int, _Attempt]],
-        pending: dict[int, _JobState],
-        ledger: str,
-    ) -> Iterator[SettledJob]:
-        self.stats.rounds += 1
-        attempts_in_round = {index: wrapper.attempt for index, wrapper in batch}
-        outstanding = set(attempts_in_round)
-        inbox: queue.Queue = queue.Queue()
-
-        def feed() -> None:
-            try:
-                for item in self.inner.stream(batch):
-                    inbox.put(("settle", item))
-            except BaseException as exc:  # noqa: BLE001 - relayed, not hidden
-                inbox.put(("error", exc))
-            finally:
-                inbox.put(("end", None))
-
-        feeder = threading.Thread(
-            target=feed, name="freezetag-supervise-feeder", daemon=True
-        )
-        feeder.start()
-
-        settled_any = False
-        bumped_any = False
-        aborted = False
-        round_over = False
-        while outstanding and not round_over:
-            try:
-                kind, item = inbox.get(timeout=self.policy.poll)
-            except queue.Empty:
-                if aborted:
-                    continue  # waiting for the feeder to notice the kill
-                overdue = self._overdue(outstanding, attempts_in_round, ledger)
-                if overdue:
-                    aborted = True
-                    self.stats.timeouts += len(overdue)
-                    abort = getattr(self.inner, "abort", None)
-                    if callable(abort):
-                        abort()
-                    timeout = self.policy.job_timeout
-                    for index in overdue:
-                        bumped_any = True
-                        result = self._charge_attempt(
-                            index,
-                            pending,
-                            kind="JobTimeout",
-                            message=f"exceeded job timeout of {timeout}s",
-                        )
-                        if result is not None:
-                            yield result
-                    # Innocent in-flight siblings died with the pool but
-                    # are not charged; they rerun next round.
-                    outstanding -= set(overdue)
-                continue
-            if kind == "settle":
-                index, payload, elapsed = item
-                outstanding.discard(index)
-                if aborted and isinstance(payload, JobFailure):
-                    # Post-abort wreckage (the kill itself): not a real
-                    # attempt outcome, the job reruns uncharged.
-                    continue
-                if isinstance(payload, JobFailure):
-                    bumped_any = True
-                    result = self._charge_attempt(
-                        index, pending, kind=payload.kind, message=payload.message
-                    )
-                    if result is not None:
-                        yield result
-                    continue
-                if pending.pop(index, None) is None:
-                    # Late success racing a timeout charge that already
-                    # quarantined the job: one settle per index, always.
-                    continue
-                settled_any = True
-                yield index, payload, elapsed
-            elif kind == "error":
-                round_over = True
-                if isinstance(item, WorkerDied):
-                    self.stats.worker_deaths += 1
-                if not aborted:
-                    started = self._started(outstanding, attempts_in_round, ledger)
-                    charge = started if started else set(outstanding)
-                    for index in sorted(charge):
-                        bumped_any = True
-                        result = self._charge_attempt(
-                            index,
-                            pending,
-                            kind=type(item).__name__,
-                            message=str(item),
-                        )
-                        if result is not None:
-                            yield result
-            else:  # "end"
-                round_over = True
-        feeder.join(timeout=10.0)
-        if outstanding and not settled_any and not bumped_any:
-            # A round that produced nothing at all (e.g. the pool failed
-            # to spawn): charge everyone so the loop provably terminates.
-            for index in sorted(outstanding):
-                result = self._charge_attempt(
-                    index, pending, kind="RoundFailed", message="round settled nothing"
-                )
-                if result is not None:
-                    yield result
-
-    def _charge_attempt(
-        self, index: int, pending: dict[int, _JobState], kind: str, message: str
-    ) -> SettledJob | None:
-        """Record a failed attempt; returns the quarantine settle if the
-        retry budget is exhausted, else ``None`` (a retry is scheduled)."""
-        state = pending.get(index)
-        if state is None:  # already settled or quarantined
-            return None
-        state.attempts += 1
-        if state.attempts > self.policy.retries:
-            self.stats.quarantined += 1
-            record = quarantine_record(
-                state.request, index, kind, message, attempts=state.attempts
-            )
-            del pending[index]
-            return index, record, 0.0
-        self.stats.retried += 1
-        state.eligible_at = time.monotonic() + self.policy.backoff(
-            index, state.attempts
-        )
-        return None
-
-    def _overdue(
-        self, outstanding: set[int], attempts: dict[int, int], ledger: str
-    ) -> list[int]:
-        """Outstanding jobs whose current attempt started more than
-        ``job_timeout`` seconds ago (per their start markers)."""
-        timeout = self.policy.job_timeout
-        if timeout is None:
-            return []
-        now = time.time()
-        overdue = []
-        for index in outstanding:
-            marker = Path(ledger) / f"{index}.{attempts[index]}.started"
-            try:
-                started = marker.stat().st_mtime
-            except OSError:
-                continue
-            if now - started > timeout:
-                overdue.append(index)
-        return sorted(overdue)
-
-    def _started(
-        self, outstanding: set[int], attempts: dict[int, int], ledger: str
-    ) -> set[int]:
-        """Outstanding jobs whose current attempt wrote its start marker —
-        the in-flight set a worker death is charged to."""
-        started = set()
-        for index in outstanding:
-            if (Path(ledger) / f"{index}.{attempts[index]}.started").exists():
-                started.add(index)
-        return started
+                for task in done:
+                    yield task.result()
+        finally:
+            for task in pending:
+                task.cancel()
+            if pending:
+                loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+                self.inner.kill()
+            else:
+                self.inner.close()
+            loop.close()

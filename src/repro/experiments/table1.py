@@ -96,7 +96,7 @@ def aseparator_ell_sweep(
             algorithm="aseparator",
             family="grid_lattice",
             family_kwargs={"side": side, "spacing": float(ell)},
-            ell=ell,
+            params={"ell": ell},
         )
         for ell in ells
     ]
@@ -148,7 +148,7 @@ def agrid_xi_sweep(
             algorithm="agrid",
             family="beaded_path",
             family_kwargs={"n": n, "spacing": spacing},
-            ell=ell,
+            params={"ell": ell},
         )
         for n in lengths
     ]
@@ -186,7 +186,7 @@ def awave_vs_agrid(
             algorithm=algorithm,
             family="beaded_path",
             family_kwargs={"n": n, "spacing": spacing},
-            ell=ell,
+            params={"ell": ell},
         )
         for n in lengths
         for algorithm in ("agrid", "awave")

@@ -60,7 +60,7 @@ except ImportError:  # pragma: no cover - exercised only on broken installs
 
 from .points import EPS, Point
 
-__all__ = ["FAULT_REACH_ENV", "FRONTIER_PAD", "FrontierIndex", "frontier_for"]
+__all__ = ["FRONTIER_PAD", "FrontierIndex", "frontier_for"]
 
 #: Safety margin added to the visibility radius when classifying stops.
 #: The engine's look predicate is ``hypot(d) <= radius + EPS``; the
@@ -72,21 +72,20 @@ FRONTIER_PAD = 1e-6
 #: Below this many candidates, a scalar loop beats numpy call overhead.
 _SCALAR_CUTOFF = 32
 
-#: Fault-injection hook for the fuzzer's self-test (tests/CI only): when
-#: a ``frontier-reach`` plant is armed (``FREEZETAG_FAULTS=
-#: frontier-reach:margin=0.5`` through the structured registry in
-#: :mod:`repro.experiments.faults`, or this legacy variable holding a
-#: bare float), :func:`frontier_for` *shrinks* the reach by that margin —
-#: deliberately breaking the "never call a visible position cold"
-#: contract so that sleepers near the edge of the visibility disk are
-#: misclassified and the batched ``awave`` walk sweeps past them.
-#: ``legacy_awave`` takes no frontier and is unaffected, so the planted
-#: bug is exactly the class the differential oracle exists to catch.
-#: Never plant this outside a fuzzer self-test.
-FAULT_REACH_ENV = "FREEZETAG_FAULT_FRONTIER_REACH"
-
 
 def _fault_reach_deficit() -> float:
+    """Fault-injection hook for the fuzzer's self-test (tests/CI only).
+
+    When a ``frontier-reach`` plant is armed (``FREEZETAG_FAULTS=
+    frontier-reach:margin=0.5``, see :mod:`repro.experiments.faults`),
+    :func:`frontier_for` *shrinks* the reach by that margin —
+    deliberately breaking the "never call a visible position cold"
+    contract so that sleepers near the edge of the visibility disk are
+    misclassified and the batched ``awave`` walk sweeps past them.
+    ``legacy_awave`` takes no frontier and is unaffected, so the planted
+    bug is exactly the class the differential oracle exists to catch.
+    Never plant this outside a fuzzer self-test.
+    """
     # Late import: geometry must not import the experiments package (and
     # its transitive engine imports) at module load.
     from ..experiments.faults import frontier_reach_deficit
@@ -341,8 +340,8 @@ def frontier_for(
     squared-distance rounding, so a cold classification is a proof that
     the engine snapshot at that stop contains no sleeping robot.
 
-    :data:`FAULT_REACH_ENV` (test-only fault injection) undercuts the
-    reach on purpose; see its docstring.
+    A ``frontier-reach`` fault plant (test-only) undercuts the reach on
+    purpose; see :func:`_fault_reach_deficit`.
     """
     reach = visibility_radius + FRONTIER_PAD + EPS - _fault_reach_deficit()
     return FrontierIndex(positions, reach=max(reach, 1e-9), keys=keys)

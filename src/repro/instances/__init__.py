@@ -15,7 +15,6 @@ from .families import (
     beaded_path,
     clusters,
     connected_walk,
-    family_accepts_seed,
     grid_lattice,
     make_instance,
     spiral,
@@ -51,7 +50,6 @@ __all__ = [
     "scenario_names",
     "unregister_scenario",
     "annulus",
-    "family_accepts_seed",
     "make_instance",
     "beaded_path",
     "clusters",

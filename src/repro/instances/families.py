@@ -22,7 +22,6 @@ instance is reproducible from its arguments.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Iterable
 
 import numpy as np
@@ -32,7 +31,6 @@ from .spec import Instance
 
 __all__ = [
     "FAMILIES",
-    "family_accepts_seed",
     "make_instance",
     "uniform_disk",
     "uniform_square",
@@ -314,25 +312,6 @@ FAMILIES: dict[str, Callable[..., Instance]] = {
     "coincident_pairs": coincident_pairs,
 }
 
-
-def family_accepts_seed(family: str) -> bool:
-    """Whether the family's generator takes a ``seed`` (deterministic
-    families like ``spiral`` and ``grid_lattice`` do not).
-
-    .. deprecated:: superseded by the registered scenario's *declared*
-       schema (``get_scenario(family).accepts_seed``); this wrapper
-       survives for pre-registry callers only.
-    """
-    warnings.warn(
-        "family_accepts_seed() is deprecated; use "
-        "repro.instances.get_scenario(name).accepts_seed (declared schema "
-        "metadata) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .registry import get_scenario
-
-    return get_scenario(family).accepts_seed
 
 
 def make_instance(family: str, **kwargs) -> Instance:

@@ -8,8 +8,8 @@ is a registered :class:`ScenarioSpec`:
   :class:`~repro.core.runner.RunRequest`, sweep specs, the CLI and the
   cache),
 * an instance *generator* with a typed parameter schema
-  (:class:`~repro.params.ParamSpec`) — declared metadata that replaces the
-  old ``inspect.signature`` sniffing of ``family_accepts_seed``,
+  (:class:`~repro.params.ParamSpec`) — declared metadata, not
+  ``inspect.signature`` sniffing,
 * a :class:`~repro.sim.WorldConfig` world model (speed profile, energy
   budgets, visibility radius, failure injection) that every run of the
   scenario executes under, overridable per-request through validated

@@ -4,7 +4,7 @@
 :class:`~repro.core.runner.RunRequest` jobs, the content-addressed
 :class:`~repro.experiments.cache.ResultCache`, resumable
 :class:`~repro.experiments.manifest.SweepManifest` ledgers and the
-``async-local`` executor — as a multi-tenant experiment platform:
+process pool executor — as a multi-tenant experiment platform:
 
 * ``POST /sweeps`` submits a :class:`~repro.experiments.SweepSpec` JSON
   body and returns the sweep id (the spec fingerprint);

@@ -11,8 +11,10 @@ Every sweep the service accepts is decomposed into independent
   executing piggybacks on its future instead of enqueueing a duplicate
   (origin ``deduped``): concurrent identical submissions compute once;
 * the **worker pool** — everything else enters one asyncio queue drained
-  by a single coordinator task that dispatches onto the opened
-  ``async-local`` executor, bounded by its worker count (origin
+  by a single coordinator task that hands jobs, bounded by the worker
+  count, to the shared attempt loop
+  (:class:`~repro.experiments.supervise.Supervisor`) over the opened
+  :class:`~repro.experiments.executors.PoolExecutor` (origin
   ``executed``).
 
 Single-writer discipline: the queue, the in-flight table, the cache and
@@ -27,33 +29,28 @@ back by the executor), which every waiter — the submitting sweep and any
 deduped siblings — receives as a per-job error state.  The scheduler
 itself never dies with a job.
 
-Supervision (PR 9): constructed with a
-:class:`~repro.experiments.supervise.SupervisorPolicy`, the scheduler
-retries failed attempts with the policy's deterministic backoff, bounds
-each attempt by ``job_timeout``, and replaces a dead or wedged worker
-pool (SIGKILL + fresh pool — ``pools_recycled`` in telemetry) before
-resubmitting.  A job that exhausts its budget settles as a quarantined
-:class:`JobError`.  Independent of the policy, a ``stall_after`` watchdog
-recycles the pool when jobs are in flight but nothing has settled for
-that long — the liveness backstop for wedges no per-job timeout covers.
+Supervision: with a
+:class:`~repro.experiments.supervise.SupervisorPolicy`, the attempt loop
+bounds each attempt by ``job_timeout``, replaces a dead or wedged pool
+(``pools_recycled`` in telemetry), retries with the policy's
+deterministic backoff and charges attempts by the same rule as
+``freezetag sweep`` (see :mod:`repro.experiments.supervise`).  A job that
+exhausts its budget settles as a quarantined :class:`JobError`.
+Independent of the policy, a ``stall_after`` watchdog recycles the pool
+when jobs are in flight but no attempt has ended for that long — the
+liveness backstop for wedges no per-job timeout covers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from ..core.runner import RunRequest
 from ..experiments.cache import ResultCache, request_key
-from ..experiments.executors import (
-    AsyncLocalExecutor,
-    SweepJobError,
-    WorkerDied,
-    get_executor,
-)
-from ..experiments.supervise import SupervisorPolicy, _Attempt
+from ..experiments.executors import PoolExecutor, get_executor
+from ..experiments.supervise import AttemptsExhausted, Supervisor, SupervisorPolicy
 from .telemetry import Telemetry
 
 __all__ = ["JobError", "JobScheduler"]
@@ -80,7 +77,7 @@ class JobScheduler:
     def __init__(
         self,
         cache: ResultCache,
-        executor: AsyncLocalExecutor | None = None,
+        executor: PoolExecutor | None = None,
         workers: int | None = None,
         telemetry: Telemetry | None = None,
         policy: SupervisorPolicy | None = None,
@@ -90,16 +87,19 @@ class JobScheduler:
         self.executor = (
             executor
             if executor is not None
-            else get_executor("async-local", workers=workers)
+            else get_executor("pool", workers=workers)
         )
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: ``None`` keeps the historical single-attempt behavior; a policy
-        #: arms per-attempt timeout, retries and quarantine.
-        self.policy = policy
-        #: Liveness watchdog: with jobs in flight and no settle for this
-        #: long, the pool is presumed wedged and recycled.  ``None``
-        #: disables it.
+        #: Liveness watchdog: with jobs in flight and no attempt ending
+        #: for this long, the pool is presumed wedged and recycled.
+        #: ``None`` disables it.
         self.stall_after = stall_after
+        #: The attempt loop.  ``policy=None`` keeps the historical
+        #: single-attempt behavior; a policy arms per-attempt timeout,
+        #: retries and quarantine.
+        self.supervisor = Supervisor(
+            self.executor, policy, stats=self.telemetry.supervision
+        )
         self._queue: asyncio.Queue[tuple[str, RunRequest, asyncio.Future]] = (
             asyncio.Queue()
         )
@@ -108,18 +108,13 @@ class JobScheduler:
         self._drain_task: asyncio.Task | None = None
         self._watchdog_task: asyncio.Task | None = None
         self._sequence = 0  # job numbers for executor-level error labels
-        #: Bumped on every pool recycle; an attempt that saw the pool
-        #: break only recycles if nobody did since it dispatched, so N
-        #: simultaneous victims replace the pool once, not N times.
-        self._pool_generation = 0
-        self._last_beat = time.monotonic()
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         """Open the worker pool and start the coordinator task."""
         self.executor.open()
-        self._last_beat = time.monotonic()
+        self.supervisor.beat()
         if self._drain_task is None:
             self._drain_task = asyncio.create_task(
                 self._drain(), name="freezetag-scheduler"
@@ -211,36 +206,26 @@ class JobScheduler:
         while True:
             item = await self._queue.get()
             await limit.acquire()
-            task = asyncio.create_task(self._run(item, limit))
+            task = asyncio.create_task(self._execute(item, limit))
             self._running.add(task)
             task.add_done_callback(self._running.discard)
 
-    async def _run(
+    async def _execute(
         self,
         item: tuple[str, RunRequest, asyncio.Future],
         limit: asyncio.Semaphore,
     ) -> None:
+        """Run one job through the attempt loop and resolve its future."""
         key, request, future = item
         self._sequence += 1
-        seq = self._sequence
-        retries = self.policy.retries if self.policy is not None else 0
         try:
-            attempt = 0
-            while True:
-                failure = await self._attempt(seq, request, attempt, future)
-                self._beat()
-                if failure is None:
-                    return  # settled successfully inside _attempt
-                attempt += 1
-                if attempt > retries:
-                    if self.policy is not None:
-                        self.telemetry.jobs_quarantined += 1
-                    if not future.done():
-                        future.set_exception(JobError(*failure))
-                    return
-                self.telemetry.jobs_retried += 1
-                if self.policy is not None:
-                    await asyncio.sleep(self.policy.backoff(seq, attempt))
+            _, record, elapsed = await self.supervisor.run(self._sequence, request)
+            self.cache.store(request, record)
+            if not future.done():
+                future.set_result((record, elapsed))
+        except AttemptsExhausted as failure:
+            if not future.done():
+                future.set_exception(JobError(failure.kind, failure.message))
         except asyncio.CancelledError:
             if not future.done():
                 future.set_exception(
@@ -254,87 +239,18 @@ class JobScheduler:
             self._inflight.pop(key, None)
             limit.release()
 
-    async def _attempt(
-        self,
-        seq: int,
-        request: RunRequest,
-        attempt: int,
-        future: asyncio.Future,
-    ) -> tuple[str, str] | None:
-        """Run one attempt: resolve ``future`` and return ``None`` on
-        success, else the ``(kind, message)`` the retry loop charges.
-
-        A supervised attempt ships the attempt number to the worker via
-        the :class:`_Attempt` wrapper (transient fault plants heal on
-        retry); the historical unsupervised path sends the raw request.
-        A broken or wedged pool is replaced *here* — once per breakage,
-        however many in-flight jobs it took down (see
-        ``_pool_generation``).
-        """
-        job: Any = request
-        if self.policy is not None:
-            job = _Attempt(request=request, index=seq, attempt=attempt, ledger=None)
-        timeout = self.policy.job_timeout if self.policy is not None else None
-        generation = self._pool_generation
-        try:
-            settle = self.executor.run_one((seq, job))
-            if timeout is not None:
-                _, record, elapsed = await asyncio.wait_for(settle, timeout)
-            else:
-                _, record, elapsed = await settle
-        except (asyncio.TimeoutError, TimeoutError):
-            # The worker is still grinding the job; only a pool
-            # replacement actually stops it.
-            self._recycle(generation, "job timeout")
-            return "JobTimeout", f"exceeded job timeout of {timeout}s"
-        except (BrokenProcessPool, WorkerDied) as exc:
-            self._recycle(generation, type(exc).__name__)
-            return type(exc).__name__, str(exc) or "worker pool broke"
-        except SweepJobError as exc:
-            return exc.kind, exc.message
-        except RuntimeError as exc:  # pool closed mid-flight, pickling, OS
-            return type(exc).__name__, str(exc)
-        self.cache.store(request, record)
-        if not future.done():
-            future.set_result((record, elapsed))
-        return None
-
-    # -- supervision ---------------------------------------------------------
-
-    def _beat(self) -> None:
-        self._last_beat = time.monotonic()
-
-    def _recycle(self, generation: int, reason: str) -> None:
-        """Replace the worker pool (SIGKILL, then a fresh open).
-
-        Guarded by the pool generation: every job in flight when a pool
-        breaks observes the breakage, but only the first one recycles —
-        the rest see a bumped generation and retry on the healthy
-        replacement instead of killing it.
-        """
-        if generation != self._pool_generation:
-            return
-        self._pool_generation += 1
-        self.telemetry.pools_recycled += 1
-        self._beat()  # a recycle is progress; re-arm the stall clock
-        kill = getattr(self.executor, "kill", None)
-        if callable(kill):
-            kill()
-        self.executor.open()
-
     async def _watchdog(self) -> None:
         """Recycle the pool when in-flight jobs stop settling.
 
-        The per-job timeout needs the awaiting task to be alive and the
-        policy armed; this is the independent backstop — pure heartbeat
-        age, so even a wedge that swallows the awaiters (or a policy-less
-        scheduler) gets its pool replaced and the waiters failed over.
+        The per-job timeout needs the policy armed; this is the
+        independent backstop — pure heartbeat age, so even a policy-less
+        scheduler gets its wedged pool replaced and the waiters failed
+        over.
         """
         assert self.stall_after is not None
         interval = max(0.05, self.stall_after / 4.0)
         while True:
             await asyncio.sleep(interval)
-            if not self._inflight:
-                continue
-            if time.monotonic() - self._last_beat > self.stall_after:
-                self._recycle(self._pool_generation, "stall watchdog")
+            stalled = time.monotonic() - self.supervisor.last_beat > self.stall_after
+            if self._inflight and stalled:
+                self.supervisor.recycle(self.supervisor.generation)

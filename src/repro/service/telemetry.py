@@ -14,12 +14,13 @@ Jobs are counted by *origin*, matching the scheduler's settle outcomes:
   (the concurrent-submission dedup win: computed zero extra times);
 * ``failed``   — surfaced as a per-job error state.
 
-Supervision counters (PR 9) ride alongside: ``jobs_retried`` counts
-re-attempts the scheduler dispatched, ``jobs_quarantined`` jobs that
-exhausted their retry budget, ``pools_recycled`` worker-pool
-replacements after a death or stall.  ``last_settle_age_s`` is the
-service heartbeat ``/healthz`` reports — how long ago *any* job reached
-a terminal state.
+Supervision counters ride alongside, read from the scheduler's
+:class:`~repro.experiments.supervise.SupervisorStats`: ``jobs_retried``
+counts charged attempts that were rescheduled, ``jobs_quarantined`` jobs
+that exhausted their retry budget, ``pools_recycled`` worker-pool
+replacements after a timeout, death or stall.  ``last_settle_age_s`` is
+the service heartbeat ``/healthz`` reports — how long ago *any* job
+reached a terminal state.
 
 ``events_per_s`` is measured over a sliding window of recent settles so
 a long-idle server reports its current rate, not a lifetime average.
@@ -31,6 +32,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..experiments.supervise import SupervisorStats
 
 __all__ = ["Telemetry"]
 
@@ -48,13 +51,23 @@ class Telemetry:
     jobs_cached: int = 0
     jobs_deduped: int = 0
     jobs_failed: int = 0
-    jobs_retried: int = 0
-    jobs_quarantined: int = 0
-    pools_recycled: int = 0
     sweeps_submitted: int = 0
     sweeps_completed: int = 0
     last_settle_mono: float | None = None
+    supervision: SupervisorStats = field(default_factory=SupervisorStats)
     _settle_times: deque[float] = field(default_factory=deque, repr=False)
+
+    @property
+    def jobs_retried(self) -> int:
+        return self.supervision.retried
+
+    @property
+    def jobs_quarantined(self) -> int:
+        return self.supervision.quarantined
+
+    @property
+    def pools_recycled(self) -> int:
+        return self.supervision.pools_recycled
 
     @property
     def jobs_settled(self) -> int:

@@ -34,14 +34,6 @@ class TestRegistryContents:
         assert distributed | centralized == set(algorithm_names())
         assert {"aseparator", "agrid", "awave"} <= distributed
 
-    def test_legacy_algorithms_tuple_warns(self):
-        # The stale pre-registry tuple still resolves, but any access
-        # warns and points at algorithm_names().
-        with pytest.deprecated_call(match="algorithm_names"):
-            from repro.core.runner import ALGORITHMS
-        assert ALGORITHMS == ("aseparator", "agrid", "awave")
-        assert set(ALGORITHMS) <= set(algorithm_names(kind="distributed"))
-
     def test_capability_flags(self):
         assert get_algorithm("aseparator").needs_rho
         assert not get_algorithm("aseparator").supports_budget
@@ -171,12 +163,12 @@ class TestCompatShim:
         ),
         (
             RunRequest("aseparator", "uniform_disk", {"n": 12, "rho": 4.0, "seed": 0},
-                       ell=2, rho=6.0, solver="greedy"),
+                       params={"ell": 2, "rho": 6.0, "solver": "greedy"}),
             "44ae63e65c9975aa5c1cc1ca7ab5eb0a",
         ),
         (
             RunRequest("agrid", "beaded_path", {"n": 6, "spacing": 1.0},
-                       ell=3, enforce_budget=True),
+                       params={"ell": 3, "enforce_budget": True}),
             "84badbdbc7c2ba4d17e31aa24d6abcf3",
         ),
         (
@@ -185,7 +177,7 @@ class TestCompatShim:
             # sweep crossing it over all three algorithms must keep
             # expanding to the same keys.
             RunRequest("aseparator", "uniform_disk", {"n": 12, "rho": 4.0, "seed": 0},
-                       enforce_budget=True),
+                       params={"enforce_budget": True}),
             "90c726cd5ba5a0f4f35ad82fdd481e74",
         ),
         (
@@ -214,14 +206,6 @@ class TestCompatShim:
             "collect": "summary",
         }
 
-    def test_params_and_legacy_fields_hash_identically(self):
-        legacy = RunRequest("aseparator", "uniform_disk", {"n": 10, "rho": 4.0},
-                            ell=2, rho=5.0, solver="greedy")
-        generic = RunRequest("aseparator", "uniform_disk", {"n": 10, "rho": 4.0},
-                             params={"ell": 2, "rho": 5.0, "solver": "greedy"})
-        assert legacy.as_dict() == generic.as_dict()
-        assert request_key(legacy) == request_key(generic)
-
     def test_centralized_requests_share_the_dict_shape(self):
         request = RunRequest("greedy", "uniform_disk", {"n": 8, "rho": 3.0})
         payload = request.as_dict()
@@ -233,7 +217,7 @@ class TestCompatShim:
     def test_legacy_execution_unchanged(self):
         run = RunRequest(
             "aseparator", "uniform_disk", {"n": 12, "rho": 4.0, "seed": 3},
-            solver="greedy",
+            params={"solver": "greedy"},
         ).execute()
         assert run.algorithm == "ASeparator[greedy]"
         assert run.woke_all

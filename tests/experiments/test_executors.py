@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.runner import RunRequest
 from repro.experiments import (
-    AsyncLocalExecutor,
     Executor,
     FamilySweep,
     PoolExecutor,
@@ -82,7 +81,9 @@ class TestRegistry:
             resolve_executor(PoolExecutor(2), workers=4)
 
     def test_builtins_satisfy_protocol(self):
-        for backend in (SerialExecutor(), PoolExecutor(2), AsyncLocalExecutor(2)):
+        for backend in (
+            SerialExecutor(), PoolExecutor(2), get_executor("async-local", 2)
+        ):
             assert isinstance(backend, Executor)
 
 

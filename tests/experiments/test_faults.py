@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.faults import (
     FAULT_KINDS,
     FAULTS_ENV,
-    LEGACY_REACH_ENV,
     FaultPlant,
     FaultSpecError,
     TransientFault,
@@ -131,24 +130,8 @@ class TestEnvActivation:
 
 class TestLegacyAlias:
     def test_registry_margin(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_REACH_ENV, raising=False)
         monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         assert frontier_reach_deficit() == 0.5
-
-    def test_legacy_env_still_honored(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        monkeypatch.setenv(LEGACY_REACH_ENV, "0.25")
-        assert frontier_reach_deficit() == 0.25
-
-    def test_both_set_takes_the_larger(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.1")
-        monkeypatch.setenv(LEGACY_REACH_ENV, "0.75")
-        assert frontier_reach_deficit() == 0.75
-
-    def test_malformed_legacy_value_is_inert(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        monkeypatch.setenv(LEGACY_REACH_ENV, "half")
-        assert frontier_reach_deficit() == 0.0
 
 
 def test_registry_names_are_exhaustive():

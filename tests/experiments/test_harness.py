@@ -52,7 +52,7 @@ class TestExpansion:
             seeds=(0,),
             algorithm_params={"ell": [1, 2]},
         )
-        assert [r.ell for r in spec.expand()] == [1, 2]
+        assert [r.params["ell"] for r in spec.expand()] == [1, 2]
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -96,7 +96,7 @@ class TestExpansion:
         )
         requests = spec.expand()
         assert [r.algorithm for r in requests] == ["aseparator", "agrid", "awave"]
-        assert all(r.enforce_budget for r in requests)
+        assert all(r.params["enforce_budget"] for r in requests)
 
     def test_generic_params_route_through_sweep(self):
         spec = SweepSpec(
@@ -106,7 +106,9 @@ class TestExpansion:
             seeds=(0,),
             algorithm_params={"solver": ["quadtree", "greedy"]},
         )
-        assert [r.solver for r in spec.expand()] == ["quadtree", "greedy"]
+        assert [r.params["solver"] for r in spec.expand()] == [
+            "quadtree", "greedy",
+        ]
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown spec fields"):
@@ -437,10 +439,10 @@ class TestRecords:
         with pytest.raises(ValueError, match="unknown algorithm"):
             RunRequest("magic", "uniform_disk", {})
         with pytest.raises(ValueError, match="no parameter 'solver'"):
-            RunRequest("agrid", "uniform_disk", {}, solver="greedy")
+            RunRequest("agrid", "uniform_disk", {}, params={"solver": "greedy"})
         # rho is now an accepted (label-only) agrid parameter: pinning it
         # together with ell skips instance parameter estimation at scale.
-        RunRequest("agrid", "uniform_disk", {}, rho=5.0)
+        RunRequest("agrid", "uniform_disk", {}, params={"rho": 5.0})
         with pytest.raises(ValueError, match="no parameter 'gamma'"):
             RunRequest("agrid", "uniform_disk", {}, params={"gamma": 1})
         with pytest.raises(ValueError, match="collect"):
@@ -448,14 +450,12 @@ class TestRecords:
         with pytest.raises(ValueError, match="expects int"):
             RunRequest("agrid", "uniform_disk", {}, params={"ell": "two"})
         with pytest.raises(ValueError, match="must be one of"):
-            RunRequest("aseparator", "uniform_disk", {}, solver="magic")
-        with pytest.raises(ValueError, match="given twice"):
-            RunRequest("agrid", "uniform_disk", {}, ell=2, params={"ell": 3})
+            RunRequest("aseparator", "uniform_disk", {}, params={"solver": "magic"})
 
     def test_solver_variants_run(self):
         requests = [
             RunRequest("aseparator", "uniform_disk",
-                       {"n": 12, "rho": 4.0, "seed": 3}, solver=solver)
+                       {"n": 12, "rho": 4.0, "seed": 3}, params={"solver": solver})
             for solver in ("quadtree", "greedy")
         ]
         quadtree, greedy = run_requests(requests)

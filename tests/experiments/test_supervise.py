@@ -10,9 +10,10 @@ damage.  Quarantine is the one deliberate divergence, and it is settled
 
 Counters are asserted at ``workers=1``: with one out-of-process worker
 the fault schedule is a pure function of the plant spec, so
-``timeouts``/``quarantined`` are exact.  ``retried`` alone can race —
-a settle lost when the pool breaks charges its job as in-flight — so
-crash/hang cells assert it only as a lower bound.
+``timeouts``/``quarantined`` are exact; crash/hang cells assert
+``retried`` only as a lower bound.  The charging rule on two workers
+(a timeout kill does not charge the siblings it takes down) has its own
+regression test.
 """
 
 import itertools
@@ -46,18 +47,16 @@ SPEC = SweepSpec(
 #: Fast, deterministic supervision: tiny backoff, no jitter, and a
 #: timeout that fires quickly but only for the planted 30s hangs.
 POLICY = SupervisorPolicy(
-    job_timeout=10.0, retries=2, backoff_base=0.01, jitter=0.0, poll=0.02
+    job_timeout=10.0, retries=2, backoff_base=0.01, jitter=0.0
 )
 HANG_POLICY = SupervisorPolicy(
-    job_timeout=0.75, retries=2, backoff_base=0.01, jitter=0.0, poll=0.02
+    job_timeout=0.75, retries=2, backoff_base=0.01, jitter=0.0
 )
 
 #: (fault id, FREEZETAG_FAULTS spec, policy, exact counter subset).
 FAULT_CASES = (
     ("flaky", "flaky@*:times=1", POLICY, {"retried": 4, "quarantined": 0}),
-    # crash: ``retried`` is deliberately absent — when the pool breaks, a
-    # job whose settle was produced but lost in flight still holds its
-    # start marker and is legitimately charged too, so it is 1 or 2.
+    # crash: ``retried`` is left to the lower-bound check in the test.
     ("crash", "crash@1", POLICY, {"quarantined": 0, "worker_deaths": 1}),
     ("hang", "hang@1:seconds=30", HANG_POLICY, {"quarantined": 0, "timeouts": 1}),
     (
@@ -156,7 +155,7 @@ class TestQuarantineAsData:
     ):
         """A permanently-failing job quarantines; siblings are untouched,
         the error is manifest data, and nothing poisons the cache."""
-        policy = SupervisorPolicy(retries=1, backoff_base=0.01, jitter=0.0, poll=0.02)
+        policy = SupervisorPolicy(retries=1, backoff_base=0.01, jitter=0.0)
         cache = ResultCache(tmp_path / "cache")
         backend = supervised("pool", policy)
         import os
@@ -187,6 +186,29 @@ class TestQuarantineAsData:
         assert healed.quarantined == 0 and healed.executed == 1
         assert json.dumps(healed.records) == json.dumps(reference_records)
 
+    def test_timeout_kill_does_not_charge_in_flight_siblings(
+        self, reference_records, monkeypatch
+    ):
+        """The charging rule on two workers: job 0 hangs, jobs 1-3 run
+        0.6 s each on the other worker, so job 3 is in flight when job 0
+        times out at 1.5 s.  The recycle that kills job 0 also kills job
+        3, which reruns uncharged; it is neither a quarantine nor a
+        worker death."""
+        monkeypatch.setenv(FAULTS_ENV, "hang@0:seconds=30;slow@1,2,3:seconds=0.6")
+        policy = SupervisorPolicy(
+            job_timeout=1.5, retries=0, backoff_base=0.01, jitter=0.0
+        )
+        backend = SupervisedExecutor(inner="pool", workers=2, policy=policy)
+        records = run_requests(SPEC.expand(), executor=backend)
+        assert [bool(r.get("quarantined")) for r in records] == [
+            True, False, False, False,
+        ]
+        assert records[0]["error"]["kind"] == "JobTimeout"
+        assert json.dumps(records[1:]) == json.dumps(reference_records[1:])
+        assert backend.stats.quarantined == 1
+        assert backend.stats.timeouts == 1
+        assert backend.stats.worker_deaths == 0
+
     def test_unsupervised_runs_report_no_supervisor(self, tmp_path):
         result = run_sweep(
             SPEC, cache=ResultCache(tmp_path / "cache"), executor="serial"
@@ -198,8 +220,9 @@ class TestWorkerDeathUnsupervised:
     """Satellite regression: a dead worker is a typed error, not a hang.
 
     ``PoolExecutor.submit`` used to deadlock in ``imap_unordered`` when a
-    worker was SIGKILLed; both process backends must now detect the death
-    and raise :class:`WorkerDied` naming every unsettled job.
+    worker was SIGKILLed; the pool backend (under both of its names) must
+    detect the death and raise :class:`WorkerDied` naming every
+    unsettled job.
     """
 
     @pytest.mark.parametrize("executor", ("pool", "async-local"))
@@ -223,11 +246,16 @@ class TestSupervisedExecutorSurface:
     def test_serial_inner_promoted_out_of_process(self):
         backend = SupervisedExecutor(inner="serial")
         assert isinstance(backend.inner, PoolExecutor)
-        assert backend.inner.workers == 1 and backend.inner.force_pool
+        assert backend.inner.workers == 1
 
-    def test_process_inners_forced_out_of_process(self):
-        backend = SupervisedExecutor(inner="pool", workers=1)
-        assert backend.inner.force_pool  # one job must still be killable
+    def test_process_inners_forced_out_of_process(self, monkeypatch):
+        # One job on one worker must still run out of process, or a
+        # planted crash would take this test process down with it.
+        monkeypatch.setenv(FAULTS_ENV, "crash@0")
+        backend = SupervisedExecutor(inner="pool", workers=1, policy=POLICY)
+        [record] = run_requests(SPEC.expand()[:1], executor=backend)
+        assert not record.get("quarantined")
+        assert backend.stats.worker_deaths == 1
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="retries"):

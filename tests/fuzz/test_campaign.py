@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fuzz import CorpusDatabase, run_campaign
-from repro.geometry.frontier import FAULT_REACH_ENV
+from repro.experiments.faults import FAULTS_ENV
 
 
 def normalized(report):
@@ -56,7 +56,7 @@ class TestFaultCampaign:
     def test_planted_fault_is_found_and_minimized(self, tmp_path, monkeypatch):
         """The end-to-end acceptance loop: a planted engine bug is found
         by a small fixed-seed campaign and minimized to a tiny seed."""
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         report = run_campaign(
             seed=0, max_runs=40, seeds_dir=tmp_path / "seeds"
         )

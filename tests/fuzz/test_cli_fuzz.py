@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.fuzz import FuzzConfig
-from repro.geometry.frontier import FAULT_REACH_ENV
+from repro.experiments.faults import FAULTS_ENV
 
 SEEDS_DIR = Path(__file__).resolve().parent / "seeds"
 
@@ -63,7 +63,7 @@ class TestRun:
 
     @pytest.mark.slow
     def test_planted_fault_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         code = main(
             ["fuzz", "run", "--max-runs", "24", "--seed", "0",
              "--no-shrink", "--quiet", "--json"]
@@ -82,7 +82,7 @@ class TestReplay:
         assert payload["checked"] >= 1 and payload["ok"] is True
 
     def test_fault_makes_replay_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         code = main(["fuzz", "replay", str(SEEDS_DIR)])
         out = capsys.readouterr().out
         assert code == 1
@@ -99,7 +99,7 @@ class TestMinimize:
         return path
 
     def test_minimizes_a_bare_config_dict(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         seeds_out = tmp_path / "out"
         code = main(
             ["fuzz", "minimize", str(self._failing_config_file(tmp_path)),

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.fuzz import FuzzConfig, check_config, json_safe, outcome_from_dict
-from repro.geometry.frontier import FAULT_REACH_ENV
+from repro.experiments.faults import FAULTS_ENV
 
 
 def awave_disk(n=8, rho=4.0, seed=3, **overrides):
@@ -41,18 +41,18 @@ class TestCleanRuns:
 
 
 class TestPlantedFault:
-    """FREEZETAG_FAULT_FRONTIER_REACH shrinks awave's frontier reach —
+    """A ``frontier-reach`` fault plant shrinks awave's frontier reach —
     an awave-only bug the differential + wake invariants must catch."""
 
     def test_fault_trips_wake_and_differential(self, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         outcome = check_config(awave_disk())
         names = {v.invariant for v in outcome.violations}
         assert "wake-completeness" in names
         assert "differential-legacy" in names
 
     def test_violations_carry_triage_details(self, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         outcome = check_config(awave_disk())
         diff = next(
             v for v in outcome.violations if v.invariant == "differential-legacy"
@@ -61,14 +61,14 @@ class TestPlantedFault:
         assert diff.details["wake_map"]["missing"]
 
     def test_hostile_mode_waives_wake_completeness_only(self, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         outcome = check_config(awave_disk(mode="hostile"))
         names = {v.invariant for v in outcome.violations}
         assert "wake-completeness" not in names
         assert "differential-legacy" in names
 
     def test_reference_algorithm_unaffected(self, monkeypatch):
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         outcome = check_config(
             FuzzConfig(
                 "legacy_awave", "uniform_disk", {"n": 8, "rho": 4.0, "seed": 3}
@@ -137,5 +137,5 @@ class TestJsonSafe:
 
 @pytest.mark.parametrize("raw", ["", "not-a-float", "-3"])
 def test_fault_env_garbage_is_inert(monkeypatch, raw):
-    monkeypatch.setenv(FAULT_REACH_ENV, raw)
+    monkeypatch.setenv(FAULTS_ENV, f"frontier-reach:margin={raw}")
     assert check_config(awave_disk(n=4, rho=2.0)).ok

@@ -72,13 +72,13 @@ class TestSeedIO:
         assert names == sorted(names)
 
     def test_replay_flags_a_failing_seed(self, tmp_path, monkeypatch):
-        from repro.geometry.frontier import FAULT_REACH_ENV
+        from repro.experiments.faults import FAULTS_ENV
 
         config = FuzzConfig(
             "awave", "uniform_disk", {"n": 8, "rho": 4.0, "seed": 3}
         )
         path = write_seed(tmp_path, config, [], note="planted")
-        monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+        monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
         report = replay_seeds([path])
         assert not report.ok
         assert report.failures[0]["seed_file"] == str(path)

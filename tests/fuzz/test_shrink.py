@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fuzz import FuzzConfig, check_config, shrink
-from repro.geometry.frontier import FAULT_REACH_ENV
+from repro.experiments.faults import FAULTS_ENV
 
 
 def failing_config():
@@ -12,7 +12,7 @@ def failing_config():
 
 @pytest.fixture
 def planted_fault(monkeypatch):
-    monkeypatch.setenv(FAULT_REACH_ENV, "0.5")
+    monkeypatch.setenv(FAULTS_ENV, "frontier-reach:margin=0.5")
 
 
 class TestConvergence:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.instances import (
     ScenarioSpec,
-    family_accepts_seed,
     get_scenario,
     iter_scenarios,
     make_instance,
@@ -126,12 +125,6 @@ class TestRegistration:
 
 
 class TestDeprecatedShim:
-    def test_family_accepts_seed_warns_and_delegates(self):
-        with pytest.deprecated_call(match="accepts_seed"):
-            assert family_accepts_seed("uniform_disk") is True
-        with pytest.deprecated_call():
-            assert family_accepts_seed("spiral") is False
-
     def test_no_inspect_left_in_families_module(self):
         # The satellite contract: schema metadata replaced signature
         # sniffing; the module must not even import inspect.

@@ -89,6 +89,36 @@ class WedgingExecutor(FakeExecutor):
         return index, {"algorithm": request.algorithm, "n": 4}, 0.01
 
 
+class KillablePool(FakeExecutor):
+    """A fake pool whose ``kill()`` breaks every job in flight on it.
+
+    The seed-0 job hangs until killed; the first dispatch of any other
+    job stays in flight until the pool is killed, and later dispatches
+    (on the fresh pool) succeed at once.
+    """
+
+    def __init__(self, workers: int = 2):
+        super().__init__(workers)
+        self._killed: asyncio.Event | None = None
+
+    def open(self):
+        self._killed = asyncio.Event()
+        return super().open()
+
+    def kill(self):
+        self._killed.set()
+
+    async def run_one(self, job):
+        index, payload = job
+        request = getattr(payload, "request", payload)
+        first = request not in self.calls
+        self.calls.append(request)
+        if request.family_kwargs["seed"] == 0 or first:
+            await self._killed.wait()
+            raise BrokenProcessPool("worker pool killed mid-job")
+        return index, {"algorithm": request.algorithm, "n": 4}, 0.01
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -290,6 +320,38 @@ class TestSupervision:
             assert scheduler.telemetry.jobs_quarantined == 0
             assert executor.kills == 1
             assert executor.opens == 2  # start + one recycle
+
+        run(go())
+
+    def test_timeout_kill_does_not_charge_in_flight_sibling(self, tmp_path):
+        """The charging rule: job A times out, and the recycle that kills
+        it also kills job B, in flight on the other worker.  A is charged
+        and quarantined; B reruns uncharged and settles."""
+
+        async def go():
+            policy = SupervisorPolicy(job_timeout=0.4, retries=0)
+            executor = KillablePool(workers=2)
+            scheduler = JobScheduler(
+                ResultCache(tmp_path), executor=executor, policy=policy
+            )
+            await scheduler.start()
+            try:
+                hung = asyncio.create_task(scheduler.settle(make_request(0)))
+                await asyncio.sleep(0.2)
+                sibling = asyncio.create_task(scheduler.settle(make_request(1)))
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(hung, sibling, return_exceptions=True), 10.0
+                )
+            finally:
+                await scheduler.stop()
+            failure, settled = outcomes
+            assert isinstance(failure, JobError)
+            assert failure.kind == "JobTimeout"
+            assert not isinstance(settled, BaseException), settled
+            record, origin, _ = settled
+            assert origin == "executed" and record["algorithm"] == "greedy"
+            assert scheduler.telemetry.jobs_quarantined == 1
+            assert scheduler.telemetry.pools_recycled == 1
 
         run(go())
 
