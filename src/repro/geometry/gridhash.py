@@ -3,7 +3,8 @@
 Every hot geometric query in the reproduction is a fixed-radius search:
 
 * the simulator's ``look`` snapshot (radius 1 around the observer);
-* delta-disk-graph construction (radius ``delta`` adjacency);
+* delta-disk-graph adjacency (radius ``delta``; ``DiskGraph`` packs these
+  exact answers into arrays);
 * covering checks for ``ell``-samplings (radius ``ell``/``2*ell``).
 
 A uniform grid whose cell size equals the query radius answers such a query

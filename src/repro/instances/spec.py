@@ -80,9 +80,6 @@ class Instance:
         rho = max(ell, math.ceil(self.rho_star * slack))
         return ell, rho
 
-    def is_connected_for(self, ell: float) -> bool:
-        return self.ell_star <= ell + 1e-12
-
     # -- simulation --------------------------------------------------------
     def world(
         self,

@@ -35,8 +35,6 @@ class TestParameters:
     def test_xi_infinite_when_disconnected(self):
         inst = Instance.build([(10, 0)])
         assert math.isinf(inst.xi(1.0))
-        assert not inst.is_connected_for(1.0)
-        assert inst.is_connected_for(10.0)
 
     def test_default_inputs_admissible(self):
         inst = uniform_disk(n=30, rho=8.0, seed=0)
