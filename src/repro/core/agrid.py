@@ -270,11 +270,7 @@ def _explore_and_wake_cell(
     rect = grid.rect(cell)
     owns = grid.owns(cell)
     report = yield from explore_rect(proc, rect, arrive_at=rect.center)
-    targets = {
-        rid: pos
-        for rid, pos in report.sleeping.items()
-        if rid not in report.awake and owns(pos)
-    }
+    targets = {rid: pos for rid, pos in report.sleeping.items() if owns(pos)}
     if not targets:
         return tuple(extra_cohort)
     target_ids = sorted(targets)

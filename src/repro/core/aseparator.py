@@ -269,8 +269,7 @@ def _explore_and_recruit(
         )
         report.merge(part)
     for rid, pos in report.sleeping.items():
-        if rid not in report.awake:
-            knowledge.saw_sleeping(rid, pos)
+        knowledge.saw_sleeping(rid, pos)
 
     seeds: list[Point] = []
     seen: set[tuple[float, float]] = set()

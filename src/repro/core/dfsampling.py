@@ -189,5 +189,4 @@ def _ingest(knowledge: TeamKnowledge, report: ExplorationReport) -> None:
     :class:`TeamKnowledge` docs).
     """
     for rid, pos in report.sleeping.items():
-        if rid not in report.awake:
-            knowledge.saw_sleeping(rid, pos)
+        knowledge.saw_sleeping(rid, pos)

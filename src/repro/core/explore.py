@@ -8,9 +8,17 @@ A team of ``k`` robots splits the rectangle into ``k`` horizontal strips
 (Figure 4b), explores them in parallel, and regroups at a meeting point to
 share findings — time ``O(w*h/k + w + h)``.
 
+The lattice of a rectangle is the product of two memoized
+:class:`~repro.sim.LatticeAxis` columns (stop coordinates plus the hop
+between each pair of neighbours).  The per-stop walk materializes it as
+points; the frontier-batched walk never does — it describes each
+stretch between hot stops as a :class:`~repro.sim.Sweep` over an index
+range of the lattice, which the engine charges from the memoized hops.
+
 Implemented as engine program fragments (``yield from``-able generators):
 
-* :func:`exploration_stops` — the snapshot lattice for one rectangle;
+* :func:`exploration_stops` — the snapshot lattice for one rectangle, as
+  points;
 * :func:`explore_rect` — single-robot (or whole-process) exploration;
 * :func:`explore_rect_team` — the fork / explore / barrier / absorb cycle.
 """
@@ -19,10 +27,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Any, Dict, Generator, Iterator
 
-from ..geometry import Point, Rect, distance
-from ..sim import Absorb, Barrier, Fork, Look, Move, Result, Sweep, Wait
+from ..geometry import Point, Rect
+from ..sim import (
+    Absorb,
+    Barrier,
+    Fork,
+    LatticeAxis,
+    Look,
+    Move,
+    Result,
+    Snapshot,
+    Sweep,
+    Wait,
+)
 from ..sim.actions import Action
 from ..sim.engine import ProcessView
 
@@ -49,27 +70,42 @@ class ExplorationReport:
     awake: Dict[int, Point] = field(default_factory=dict)
     snapshots: int = 0
 
+    def note(self, snapshot: Snapshot) -> None:
+        """Record every robot a snapshot shows."""
+        for view in snapshot.robots:
+            if view.awake:
+                self.awake[view.robot_id] = view.position
+                self.sleeping.pop(view.robot_id, None)
+            elif view.robot_id not in self.awake:
+                self.sleeping[view.robot_id] = view.position
+
     def merge(self, other: "ExplorationReport") -> None:
-        self.sleeping.update(other.sleeping)
-        # A robot seen awake anywhere overrides a sleeping sighting: wakes
-        # are irreversible, so the awake observation is the newer fact.
-        self.awake.update(other.awake)
+        # A robot seen awake anywhere overrides a sleeping sighting, in
+        # whichever order the reports arrive: wakes are irreversible, so
+        # the awake observation is the newer fact.  ``sleeping`` and
+        # ``awake`` stay disjoint.
+        awake = self.awake
+        awake.update(other.awake)
         for rid in other.awake:
             self.sleeping.pop(rid, None)
+        for rid, pos in other.sleeping.items():
+            if rid not in awake:
+                self.sleeping[rid] = pos
         self.snapshots += other.snapshots
 
 
-def _axis_stops(lo: float, hi: float) -> list[float]:
+def _axis_stops(lo: float, hi: float) -> LatticeAxis:
     """Snapshot coordinates covering the closed interval ``[lo, hi]``.
 
     Stops are spaced at most ``sqrt(2)`` apart with the first/last at most
     ``sqrt(2)/2`` from the ends, so every coordinate of the interval is
-    within ``sqrt(2)/2`` of a stop.
+    within ``sqrt(2)/2`` of a stop.  The axis also carries the hop length
+    between each pair of neighbouring stops, which the engine charges a
+    :class:`~repro.sim.Sweep` from.
 
     Memoized: a team exploration splits a rectangle into one strip per
     robot, and every strip shares the parent's x-interval — at cohort
-    sizes that is thousands of identical lattices per rectangle.  Callers
-    never mutate the returned list.
+    sizes that is thousands of identical lattices per rectangle.
     """
     cached = _AXIS_STOPS_MEMO.get((lo, hi))
     if cached is not None:
@@ -83,13 +119,14 @@ def _axis_stops(lo: float, hi: float) -> list[float]:
         # interval midpoints.
         step = span / count
         stops = [lo + (i + 0.5) * step for i in range(count)]
+    axis = LatticeAxis(stops)
     if len(_AXIS_STOPS_MEMO) >= _AXIS_STOPS_MEMO_MAX:
         _AXIS_STOPS_MEMO.clear()
-    _AXIS_STOPS_MEMO[(lo, hi)] = stops
-    return stops
+    _AXIS_STOPS_MEMO[(lo, hi)] = axis
+    return axis
 
 
-_AXIS_STOPS_MEMO: Dict[tuple, list] = {}
+_AXIS_STOPS_MEMO: Dict[tuple, LatticeAxis] = {}
 _AXIS_STOPS_MEMO_MAX = 4096
 
 
@@ -100,8 +137,8 @@ def exploration_stops(rect: Rect) -> list[Point]:
     some stop, hence within Euclidean distance 1 — the Lemma 1 coverage
     invariant.  Rows alternate direction so consecutive stops are adjacent.
     """
-    ys = _axis_stops(rect.ymin, rect.ymax)
-    xs = _axis_stops(rect.xmin, rect.xmax)
+    ys = _axis_stops(rect.ymin, rect.ymax).stops
+    xs = _axis_stops(rect.xmin, rect.xmax).stops
     xs_reversed = xs[::-1]
     # Cohort explorations materialize millions of stops (one thin strip
     # per robot); skip the generated NamedTuple __new__ frame and build
@@ -146,41 +183,39 @@ def explore_rect(
     With a :class:`~repro.geometry.FrontierIndex` the walk is *batched*:
     stops whose snapshot provably contains no sleeping robot (no initial
     position within the closed visibility reach — sleeping robots never
-    move, so the oracle is static) are swept through in single engine
-    events, and only *hot* stops take real snapshots.  Travel path,
-    per-segment energy accounting and arrival times are identical to the
-    per-stop walk; what changes is the number of queue events and
-    sleeper-free snapshots.  A skipped stop may miss an *awake transient*
-    (a robot traveling far from every initial position); such sightings
-    only ever cancel a same-report sleeping entry, and the differential
-    suite pins that the omission never reaches a wake-time or energy
-    observable on any tested instance.  Near an energy budget the batched
-    path falls back to per-stop moves so an overrun aborts at exactly the
-    legacy point.
+    move, so the oracle is static) are swept through, and only *hot*
+    stops take real snapshots.  Each stretch between hot stops is one
+    :class:`~repro.sim.Sweep` over an index range of the rectangle's
+    lattice (an entirely cold rectangle is a single run over all of it),
+    so no per-stop point is built.  Travel path, per-segment energy
+    accounting and arrival times are identical to the per-stop walk;
+    what changes is the number of queue events and sleeper-free
+    snapshots.  A skipped stop may miss an *awake transient* (a robot
+    traveling far from every initial position); such sightings only ever
+    cancel a same-report sleeping entry, and the differential suite pins
+    that the omission never reaches a wake-time or energy observable on
+    any tested instance.  Near an energy budget the batched path falls
+    back to per-stop moves so an overrun aborts at exactly the legacy
+    point.
     """
     report = ExplorationReport()
-    stops = exploration_stops(rect)
-    if frontier is not None and _sweep_admissible(proc, stops, arrive_at):
-        yield from _explore_stops_batched(proc, stops, arrive_at, frontier, report)
-        return report
-    for stop in stops:
+    if frontier is not None:
+        xs = _axis_stops(rect.xmin, rect.xmax)
+        ys = _axis_stops(rect.ymin, rect.ymax)
+        run = Sweep(xs, ys, 0, len(xs) * len(ys), arrive_at)
+        if _sweep_admissible(proc, run):
+            yield from _explore_batched(proc, run, frontier, report)
+            return report
+    for stop in exploration_stops(rect):
         yield Move(stop)
-        snap = (yield Look()).value
+        report.note((yield Look()).value)
         report.snapshots += 1
-        for view in snap.robots:
-            if view.awake:
-                report.awake[view.robot_id] = view.position
-                report.sleeping.pop(view.robot_id, None)
-            elif view.robot_id not in report.awake:
-                report.sleeping[view.robot_id] = view.position
     if arrive_at is not None:
         yield Move(arrive_at)
     return report
 
 
-def _sweep_admissible(
-    proc: ProcessView, stops: list[Point], arrive_at: Point | None
-) -> bool:
+def _sweep_admissible(proc: ProcessView, run: Sweep) -> bool:
     """Whether the whole walk clears every robot's remaining budget.
 
     Sweeping must never move the point (or simulation time) at which an
@@ -191,63 +226,55 @@ def _sweep_admissible(
     remaining = proc.min_remaining_budget
     if remaining == math.inf:
         return True
-    total = 0.0
-    prev = proc.position
-    for stop in stops:
-        total += distance(prev, stop)
-        prev = stop
-    if arrive_at is not None:
-        total += distance(prev, arrive_at)
+    # Sequential sum, as the per-stop walk adds it (never fsum / sum).
+    total = reduce(add, run.segment_lengths(proc.position), 0.0)
     return total < remaining - 1e-6
 
 
-def _explore_stops_batched(
+def _explore_batched(
     proc: ProcessView,
-    stops: list[Point],
-    arrive_at: Point | None,
+    run: Sweep,
     frontier: "FrontierIndex",
     report: ExplorationReport,
 ) -> Generator[Action, Result, None]:
     """The frontier-batched walk: sweep cold runs, snapshot hot stops.
 
+    ``run`` covers the whole lattice (plus the tail to ``arrive_at``).
     ``report.snapshots`` counts planned lattice stops (the legacy payload
     semantics), not materialized looks.  Distance travelled is charged by
     the engine odometer (the single authoritative energy record, on the
     per-stop and batched paths alike) — reports carry no travel tally.
     """
-    report.snapshots += len(stops)
-    rect_hot = True
-    if stops:
-        xs = [s[0] for s in stops]
-        ys = [s[1] for s in stops]
-        rect_hot = frontier.rect_overlaps(min(xs), min(ys), max(xs), max(ys))
-    if not rect_hot:
-        # Entirely-cold rectangle: one sweep covers the whole lattice.
-        pending = list(stops)
-        if arrive_at is not None:
-            pending.append(arrive_at)
-        if pending:
-            yield Sweep(pending)
+    xs, ys, count = run.xs, run.ys, run.stop
+    report.snapshots += count
+    start = 0
+    for k in _hot_stops(frontier, xs, ys):
+        yield Sweep(xs, ys, start, k + 1)
+        start = k + 1
+        report.note((yield Look()).value)
+    if start < count or run.arrive_at is not None:
+        yield Sweep(xs, ys, start, count, run.arrive_at) if start else run
+
+
+def _hot_stops(
+    frontier: "FrontierIndex", xs: LatticeAxis, ys: LatticeAxis
+) -> Iterator[int]:
+    """Visiting-order indices of the lattice stops that may see a sleeper.
+
+    A lattice whose reach-padded bounds hold no initial position has
+    none, without a per-stop test.
+    """
+    cols, rows = xs.stops, ys.stops
+    if not frontier.rect_overlaps(cols[0], rows[0], cols[-1], rows[-1]):
         return
-    hot = frontier.hot_stops(stops)
-    pending = []
-    for idx, stop in enumerate(stops):
-        pending.append(stop)
-        if not hot[idx]:
-            continue
-        yield Sweep(pending)
-        pending = []
-        snap = (yield Look()).value
-        for view in snap.robots:
-            if view.awake:
-                report.awake[view.robot_id] = view.position
-                report.sleeping.pop(view.robot_id, None)
-            elif view.robot_id not in report.awake:
-                report.sleeping[view.robot_id] = view.position
-    if arrive_at is not None:
-        pending.append(arrive_at)
-    if pending:
-        yield Sweep(pending)
+    any_within = frontier.any_within
+    reversed_cols = cols[::-1]
+    k = 0
+    for j, y in enumerate(rows):
+        for x in cols if j % 2 == 0 else reversed_cols:
+            if any_within((x, y)):
+                yield k
+            k += 1
 
 
 def explore_rect_team(

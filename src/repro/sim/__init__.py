@@ -23,6 +23,7 @@ from .actions import (
     Annotate,
     Barrier,
     Fork,
+    LatticeAxis,
     Look,
     Move,
     MovePath,
@@ -61,6 +62,7 @@ __all__ = [
     "Look",
     "Move",
     "MovePath",
+    "LatticeAxis",
     "Sweep",
     "Program",
     "Result",

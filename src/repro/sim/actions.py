@@ -19,7 +19,7 @@ Time cost of each action:
 ========== =========================================
 Move       Euclidean length of the segment
 MovePath   total polyline length
-Sweep      total polyline length (single engine event)
+Sweep      total lattice-run length (single engine event)
 Wait       the requested duration
 WaitUntil  ``max(0, t - now)``
 Look       0 (discrete snapshot)
@@ -33,10 +33,11 @@ Annotate   0 (pure trace marker)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, NamedTuple, Sequence, TYPE_CHECKING
 
-from ..geometry import Point
+from ..geometry import EPS, Point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ProcessView
@@ -45,6 +46,7 @@ __all__ = [
     "Action",
     "Move",
     "MovePath",
+    "LatticeAxis",
     "Sweep",
     "Wait",
     "WaitUntil",
@@ -88,9 +90,49 @@ class MovePath(Action):
         object.__setattr__(self, "waypoints", tuple(waypoints))
 
 
+class LatticeAxis:
+    """One axis of a snapshot lattice: its stops and the hops between them.
+
+    ``stops`` must increase by more than ``EPS`` at every step, so within
+    a :class:`Sweep` only the first and the tail hop can be the
+    zero-length teleports of :class:`Move`.  ``hops[i]`` is
+    ``math.hypot`` of the gap between stops ``i`` and ``i + 1`` — the
+    exact length a Move between them is charged, whichever way it runs
+    and whichever coordinate the gap lies on — and ``hops_reversed``
+    lists the hops of a row walked right to left.
+    """
+
+    __slots__ = ("stops", "hops", "hops_reversed")
+
+    def __init__(self, stops: Sequence[float]) -> None:
+        stops = tuple(stops)
+        if not stops:
+            raise ValueError("a lattice axis needs at least one stop")
+        gaps = [b - a for a, b in zip(stops, stops[1:])]
+        if any(gap <= EPS for gap in gaps):
+            raise ValueError("lattice stops must increase by more than EPS")
+        self.stops = stops
+        self.hops = tuple(math.hypot(gap, 0.0) for gap in gaps)
+        self.hops_reversed = self.hops[::-1]
+
+    def __len__(self) -> int:
+        return len(self.stops)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LatticeAxis({self.stops!r})"
+
+
 @dataclass(frozen=True)
 class Sweep(Action):
-    """Cohort-batched polyline: traverse ``waypoints`` as ONE engine event.
+    """A boustrophedon run over a snapshot lattice as ONE engine event.
+
+    The lattice has a row at each ``ys`` stop; row ``j`` visits the
+    ``xs`` stops left to right when ``j`` is even and right to left when
+    it is odd, so stop ``k`` is column ``k % len(xs)`` (in visiting order)
+    of row ``k // len(xs)``.  The run visits stops ``start .. stop - 1``
+    and then, when given, ``arrive_at``.  No per-stop object exists: the
+    engine charges the run from the axes' memoized hops and locates a
+    mover on it by index.
 
     Observationally equivalent to issuing one :class:`Move` per waypoint —
     identical per-segment energy accounting, identical sequential time
@@ -102,7 +144,7 @@ class Sweep(Action):
     exploration lattice cannot reveal anything sweeps through it in one
     event instead of thousands.
 
-    One deliberate asymmetry: because the whole polyline is validated up
+    One deliberate asymmetry: because the whole run is validated up
     front, an :class:`~repro.sim.errors.EnergyBudgetExceeded` overrun on
     a later segment raises at *issue* time (process still at its origin,
     earlier segments already charged), not at the mid-walk simulation
@@ -119,10 +161,80 @@ class Sweep(Action):
     motion.
     """
 
-    waypoints: tuple[Point, ...]
+    xs: LatticeAxis
+    ys: LatticeAxis
+    start: int
+    stop: int
+    arrive_at: Point | None = None
 
-    def __init__(self, waypoints: Sequence[Point]) -> None:
-        object.__setattr__(self, "waypoints", tuple(waypoints))
+    def __len__(self) -> int:
+        """Number of waypoints: the run's stops plus the tail, if any."""
+        return self.stop - self.start + (self.arrive_at is not None)
+
+    def waypoint(self, i: int) -> tuple[float, float]:
+        """Coordinates of waypoint ``i`` (``0 <= i < len(self)``)."""
+        k = self.start + i
+        if k >= self.stop:
+            return self.arrive_at
+        cols = self.xs.stops
+        row, col = divmod(k, len(cols))
+        return (cols[col] if row % 2 == 0 else cols[-1 - col]), self.ys.stops[row]
+
+    def segment_lengths(self, origin: Point) -> list[float]:
+        """Length of every segment walked from ``origin``, in order.
+
+        Each equals the ``math.hypot`` a :class:`Move` along that segment
+        is charged: the first and tail hops are computed, the lattice
+        hops come from the axes' memoized hops.
+        """
+        lengths: list[float] = []
+        prev = origin
+        start, stop = self.start, self.stop
+        if start < stop:
+            first = self.waypoint(0)
+            lengths.append(math.hypot(origin[0] - first[0], origin[1] - first[1]))
+            xs = self.xs
+            forward, backward = xs.hops, xs.hops_reversed
+            row_hops = self.ys.hops
+            row, col = divmod(start, len(xs))
+            last_row, last_col = divmod(stop - 1, len(xs))
+            while row < last_row:
+                lengths += (forward if row % 2 == 0 else backward)[col:]
+                lengths.append(row_hops[row])
+                row += 1
+                col = 0
+            lengths += (forward if row % 2 == 0 else backward)[col:last_col]
+            prev = self.waypoint(stop - 1 - start)
+        tail = self.arrive_at
+        if tail is not None:
+            lengths.append(math.hypot(prev[0] - tail[0], prev[1] - tail[1]))
+        return lengths
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """``(xmin, ymin, xmax, ymax)`` over the run's waypoints."""
+        xmin = ymin = math.inf
+        xmax = ymax = -math.inf
+        if self.start < self.stop:
+            cols, rows = self.xs.stops, self.ys.stops
+            first_row = self.start // len(cols)
+            last_row = (self.stop - 1) // len(cols)
+            if last_row - first_row >= 2:
+                # A whole row lies inside the run.
+                xmin, xmax = cols[0], cols[-1]
+            else:
+                x0 = self.waypoint(0)[0]
+                x1 = self.waypoint(self.stop - 1 - self.start)[0]
+                xmin, xmax = min(x0, x1), max(x0, x1)
+                if last_row > first_row:
+                    # The run turns at the end of its first row.
+                    edge = cols[-1] if first_row % 2 == 0 else cols[0]
+                    xmin, xmax = min(xmin, edge), max(xmax, edge)
+            ymin, ymax = rows[first_row], rows[last_row]
+        tail = self.arrive_at
+        if tail is not None:
+            xmin, ymin = min(xmin, tail[0]), min(ymin, tail[1])
+            xmax, ymax = max(xmax, tail[0]), max(ymax, tail[1])
+        return xmin, ymin, xmax, ymax
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Dict, Generator, Sequence
 
 from ..geometry import (
@@ -42,7 +44,6 @@ from ..geometry import (
     GridHash,
     Point,
     close_to,
-    convex_combination,
     distance,
 )
 
@@ -150,55 +151,26 @@ class _Process:
         # Axis-aligned bounds of the current segment, pre-expanded by the
         # visibility radius: a cheap reject for snapshot queries.
         self.motion_bbox: tuple[float, float, float, float] | None = None
-        # Piecewise motion state for a batched Sweep: the waypoint tuple
-        # plus the parallel per-segment end-time list for bisection
-        # (segment ``i`` runs waypoint ``i-1`` -> ``i`` over
-        # ``ends[i-1]..ends[i]``, with the origin/start filling in at
-        # ``i == 0``).  None while in plain segment mode.
-        self.motion_path: tuple[Point, ...] | None = None
+        # Piecewise motion state for a Sweep: the lattice run plus the
+        # parallel per-segment end-time list for bisection (segment ``i``
+        # runs waypoint ``i-1`` -> ``i`` over ``ends[i-1]..ends[i]``, with
+        # the origin/start filling in at ``i == 0``).  None while in plain
+        # segment mode.
+        self.motion_path: Sweep | None = None
         self.motion_ends: list[float] | None = None
 
     def position_at(self, time: float) -> Point:
-        if self.state != "moving" or self.motion_from is None or self.motion_to is None:
-            return self.position
-        if time >= self.motion_end:
-            return self.motion_to
-        if time <= self.motion_start:
-            return self.motion_from
-        path = self.motion_path
-        if path is not None:
-            # Sweep in flight: locate the active segment.  Boundary times
-            # resolve to the shared waypoint either way, exactly as the
-            # per-segment event chain would report.
-            ends = self.motion_ends
-            i = bisect_left(ends, time)
-            if i >= len(path):
-                return self.motion_to
-            seg_end = ends[i]
-            seg_to = path[i]
-            if time >= seg_end:
-                return seg_to
-            if i > 0:
-                seg_start = ends[i - 1]
-                seg_from = path[i - 1]
-            else:
-                seg_start = self.motion_start
-                seg_from = self.motion_from
-            if time <= seg_start:
-                return seg_from
-            span = seg_end - seg_start
-            t = (time - seg_start) / span if span > 0 else 1.0
-            return convex_combination(seg_from, seg_to, t)
-        span = self.motion_end - self.motion_start
-        t = (time - self.motion_start) / span if span > 0 else 1.0
-        return convex_combination(self.motion_from, self.motion_to, t)
+        """Interpolated position at ``time`` (the Move-chain value)."""
+        return Point(*self.xy_at(time))
 
     def xy_at(self, time: float) -> tuple[float, float]:
         """Raw interpolated coordinates — ``position_at`` minus the Point.
 
         The snapshot mover scan probes every candidate mover per Look; a
-        sweep's whole-path bbox admits many candidates that an exact
-        distance check then rejects, so the probe must not allocate.  The
+        sweep's whole-run bbox admits many candidates that an exact
+        distance check then rejects, so the probe must not allocate a
+        Point.  A sweep's active segment is found by bisecting its end
+        times and its endpoints are indexed out of the lattice run.  The
         arithmetic replicates :func:`~repro.geometry.convex_combination`
         exactly — a hit converts to the identical ``Point``.
         """
@@ -211,20 +183,22 @@ class _Process:
         if time <= self.motion_start:
             p = self.motion_from
             return p[0], p[1]
-        path = self.motion_path
-        if path is not None:
+        run = self.motion_path
+        if run is not None:
+            # Boundary times resolve to the shared waypoint either way,
+            # exactly as the per-segment event chain would report.
             ends = self.motion_ends
             i = bisect_left(ends, time)
-            if i >= len(path):
+            if i >= len(ends):
                 p = self.motion_to
                 return p[0], p[1]
             seg_end = ends[i]
-            b = path[i]
+            b = run.waypoint(i)
             if time >= seg_end:
                 return b[0], b[1]
             if i > 0:
                 seg_start = ends[i - 1]
-                a = path[i - 1]
+                a = run.waypoint(i - 1)
             else:
                 seg_start = self.motion_start
                 a = self.motion_from
@@ -609,76 +583,67 @@ class Engine:
         return self._do_move(proc, action.waypoints)
 
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
-        # Batched polyline: observationally identical to one Move per
+        # A lattice run: observationally identical to one Move per
         # waypoint — same per-segment budget checks and odometer charges
         # (in the same float-op order), same sequential arrival-time
         # accumulation, same interpolated positions for observers — but
-        # the queue sees a single event at the final arrival.
-        waypoints = action.waypoints
-        if not waypoints:
+        # the queue sees a single event at the final arrival, and no
+        # per-stop object is built.
+        start, stop = action.start, action.stop
+        if not 0 <= start <= stop <= len(action.xs) * len(action.ys):
+            raise ProtocolError(f"sweep range {start}..{stop} off its lattice")
+        count = len(action)
+        if not count:
             raise ProtocolError("empty sweep")
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
         position = proc.position
         speed = proc.speed
-        # Per-segment budget checks only matter for bounded robots; the
-        # common unbounded sweep skips the inner check loop entirely (the
-        # check can never fire against an infinite budget).
-        bounded = any(robot.budget != math.inf for robot in team)
-        t = self.now
-        ends: list[float] = []
-        ends_append = ends.append
-        prev = position
-        total = 0.0
-        hypot = math.hypot
-        solo = team[0] if len(team) == 1 else None
-        for target in waypoints:
-            length = hypot(prev[0] - target[0], prev[1] - target[1])
-            total += length
-            if bounded:
-                for robot in team:
-                    if robot.odometer + length > robot.budget + 1e-9:
-                        raise EnergyBudgetExceeded(
-                            robot.robot_id,
-                            robot.odometer + length, robot.budget,
-                        )
-            if length <= EPS:
-                # A chain of Moves treats a tiny hop as a teleport: no
-                # odometer charge, no elapsed time.
-                ends_append(t)
-                prev = target
-                continue
-            if solo is not None:
-                solo.odometer += length
-            else:
-                for robot in team:
-                    robot.odometer += length
-            t = t + length / speed
-            ends_append(t)
-            prev = target
-        if t <= self.now:
+        now = self.now
+        lengths = action.segment_lengths(position)
+        if any(robot.budget != math.inf for robot in team):
+            ends = _charge_bounded(team, lengths, now, speed)
+        else:
+            # The check can never fire against an infinite budget, so the
+            # charge runs at C speed.  Lattice hops exceed EPS; only the
+            # first and tail hops can be Move's zero-length teleports (no
+            # odometer charge, no elapsed time), and charging those as
+            # 0.0 leaves every sum bit-identical (x + 0.0 == x).
+            charged = lengths
+            if lengths[0] <= EPS or lengths[-1] <= EPS:
+                charged = [length if length > EPS else 0.0 for length in lengths]
+            for robot in team:
+                robot.odometer = reduce(add, charged, robot.odometer)
+            if speed != 1.0:
+                charged = [length / speed for length in charged]
+            ends = list(itertools.accumulate(charged, initial=now))
+            del ends[0]
+        t = ends[-1]
+        last = action.waypoint(count - 1)
+        target = last if type(last) is Point else Point(*last)
+        if t <= now:
             # Degenerate all-tiny sweep: complete immediately, like a
             # zero-length move.
-            proc.position = waypoints[-1]
+            proc.position = target
             proc.views = None
-            self._stationary.move_key(proc.pid, proc.position)
+            self._stationary.move_key(proc.pid, target)
             self._look_cache.clear()
-            self._schedule(self.now, proc.pid, Result(self.now, None))
+            self._schedule(now, proc.pid, Result(now, None))
             proc.state = "waiting"
             return None
         self._moving.add(proc.pid)
         self._look_cache.clear()
         proc.state = "moving"
         proc.motion_from = position
-        proc.motion_start = self.now
-        proc.motion_to = waypoints[-1]
+        proc.motion_start = now
+        proc.motion_to = target
         proc.motion_end = t
-        proc.motion_path = waypoints
+        proc.motion_path = action
         proc.motion_ends = ends
         movers = self._movers
         if movers is not None:
-            bbox = proc.motion_bbox = _polyline_bbox(
-                position, waypoints, self.visibility_radius
+            bbox = proc.motion_bbox = _run_bbox(
+                position, action, self.visibility_radius
             )
             movers.put(proc.pid, bbox)
         else:
@@ -687,10 +652,10 @@ class Engine:
         trace = self.trace
         if trace.enabled:
             trace.append(
-                self.now, "sweep", proc.pid,
+                now, "sweep", proc.pid,
                 {
-                    "length": total, "to": waypoints[-1],
-                    "waypoints": len(waypoints), "robots": len(team),
+                    "length": reduce(add, lengths, 0.0), "to": target,
+                    "waypoints": count, "robots": len(team),
                 },
             )
         return None
@@ -1279,10 +1244,33 @@ def _segment_bbox(
     )
 
 
-def _polyline_bbox(
-    origin: Point, waypoints: Sequence[Point], radius: float
+def _charge_bounded(team: list, lengths: list[float], now: float, speed: float) -> list[float]:
+    """Charge a sweep's segments to budget-bound robots, one at a time.
+
+    The Move-chain order exactly: each segment's budget check precedes
+    its charge, so an overrun raises with the odometer of the segments
+    before it already charged.  Returns the per-segment arrival times.
+    """
+    t = now
+    ends: list[float] = []
+    for length in lengths:
+        for robot in team:
+            if robot.odometer + length > robot.budget + 1e-9:
+                raise EnergyBudgetExceeded(
+                    robot.robot_id, robot.odometer + length, robot.budget
+                )
+        if length > EPS:
+            for robot in team:
+                robot.odometer += length
+            t = t + length / speed
+        ends.append(t)
+    return ends
+
+
+def _run_bbox(
+    origin: Point, run: Sweep, radius: float
 ) -> tuple[float, float, float, float]:
-    """Axis bounds of a whole polyline expanded by the visibility radius.
+    """Axis bounds of a whole lattice run expanded by the visibility radius.
 
     A boustrophedon sweep wanders far outside the bbox of its endpoints,
     so a mover bbox for a :class:`Sweep` must cover every waypoint.  The
@@ -1290,21 +1278,22 @@ def _polyline_bbox(
     interpolated distances — so a looser box is safe, never wrong.
     """
     pad = radius + 1e-9
-    xs = [origin[0]]
-    ys = [origin[1]]
-    for w in waypoints:
-        xs.append(w[0])
-        ys.append(w[1])
-    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    xmin, ymin, xmax, ymax = run.bounds()
+    return (
+        min(origin[0], xmin) - pad,
+        min(origin[1], ymin) - pad,
+        max(origin[0], xmax) + pad,
+        max(origin[1], ymax) + pad,
+    )
 
 
 def _motion_bbox_of(
     proc: _Process, radius: float
 ) -> tuple[float, float, float, float]:
-    """Lazy mover bbox: segment bounds, or full-path bounds for a sweep."""
-    path = proc.motion_path
-    if path is not None:
-        return _polyline_bbox(proc.motion_from, path, radius)
+    """Lazy mover bbox: segment bounds, or whole-run bounds for a sweep."""
+    run = proc.motion_path
+    if run is not None:
+        return _run_bbox(proc.motion_from, run, radius)
     return _segment_bbox(proc.motion_from, proc.motion_to, radius)
 
 

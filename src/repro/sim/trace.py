@@ -106,7 +106,7 @@ class Trace:
         return self.of_kind("wake")
 
     def total_move_length(self) -> float:
-        # "sweep" is the batched-polyline sibling of "move" (PR 5): both
+        # "sweep" is the lattice-run sibling of "move": both
         # carry a travelled "length" and together cover all motion.
         return sum(
             e.data.get("length", 0.0)

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from repro.core import (
     SQRT2,
+    ExplorationReport,
     exploration_stops,
     exploration_time_bound,
     explore_rect,
     explore_rect_team,
 )
-from repro.geometry import Point, Rect, distance
-from repro.sim import Engine, SOURCE_ID, World
+from repro.geometry import Point, Rect, distance, frontier_for
+from repro.sim import Engine, Look, SOURCE_ID, Sweep, World
 
 dims = st.floats(0.5, 20.0)
 
@@ -144,3 +145,101 @@ class TestTeam:
         rect = Rect(0, 0, 12, 12)
         _, result, _ = self._run_team(rect, k, [])
         assert result.termination_time <= exploration_time_bound(12, 12, k)
+
+
+class TestBatchedWalk:
+    """The frontier-batched walk describes the per-stop walk by lattice runs."""
+
+    @staticmethod
+    def _actions(rect, sleepers, arrive_at):
+        world = World(source=Point(rect.xmin - 1.0, rect.ymin), positions=sleepers)
+        engine = Engine(world)
+        frontier = frontier_for(sleepers, world.visibility_radius)
+        actions = []
+
+        def recording(proc):
+            walk = explore_rect(proc, rect, arrive_at=arrive_at, frontier=frontier)
+            value = None
+            while True:
+                try:
+                    action = walk.send(value)
+                except StopIteration as done:
+                    actions.append(done.value)
+                    return
+                actions.append(action)
+                value = yield action
+
+        engine.spawn(recording, [SOURCE_ID])
+        engine.run()
+        return actions
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.5, 9.0),
+        st.floats(0.5, 9.0),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=4),
+        st.booleans(),
+    )
+    def test_runs_partition_the_lattice(self, w, h, spots, arrive):
+        rect = Rect(0, 0, w, h)
+        sleepers = [Point(fx * w, fy * h) for fx, fy in spots]
+        arrive_at = Point(w / 2, h + 1.0) if arrive else None
+        *actions, report = self._actions(rect, sleepers, arrive_at)
+        stops = exploration_stops(rect)
+        walked, looked_at = [], []
+        for action in actions:
+            if isinstance(action, Sweep):
+                walked += [action.waypoint(i) for i in range(len(action))]
+            else:
+                assert isinstance(action, Look)
+                looked_at.append(len(walked) - 1)
+        expected = stops + ([arrive_at] if arrive_at is not None else [])
+        assert [Point(*p) for p in walked] == expected
+        # Snapshots are taken exactly at the stops that can see a sleeper.
+        frontier = frontier_for(sleepers, 1.0)
+        assert looked_at == [k for k, hot in enumerate(frontier.hot_stops(stops)) if hot]
+        assert report.snapshots == len(stops)
+        if not sleepers:
+            assert len(actions) == 1  # an entirely cold rectangle is one run
+
+
+class TestReportMerge:
+    @pytest.mark.parametrize("awake_first", [True, False])
+    def test_awake_sighting_wins_in_either_order(self, awake_first):
+        awake = ExplorationReport(awake={1: Point(2.0, 0.0)}, snapshots=1)
+        sleeping = ExplorationReport(
+            sleeping={1: Point(0.0, 0.0), 2: Point(5.0, 5.0)}, snapshots=2
+        )
+        merged = ExplorationReport()
+        for part in (awake, sleeping) if awake_first else (sleeping, awake):
+            merged.merge(part)
+        assert merged.awake == {1: Point(2.0, 0.0)}
+        assert merged.sleeping == {2: Point(5.0, 5.0)}
+        assert merged.snapshots == 3
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, 6), max_size=4),
+                st.sets(st.integers(0, 6), max_size=4),
+            ),
+            max_size=5,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_merge_keeps_sleeping_and_awake_disjoint(self, sightings, rng):
+        parts = [
+            ExplorationReport(
+                sleeping={rid: Point(rid, 0.0) for rid in asleep - awake},
+                awake={rid: Point(rid, 1.0) for rid in awake},
+            )
+            for asleep, awake in sightings
+        ]
+        rng.shuffle(parts)
+        merged = ExplorationReport()
+        for part in parts:
+            merged.merge(part)
+        every_awake = set().union(*(awake for _, awake in sightings))
+        every_asleep = set().union(*(asleep for asleep, _ in sightings))
+        assert set(merged.awake) == every_awake
+        assert set(merged.sleeping) == every_asleep - every_awake
