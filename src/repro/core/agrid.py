@@ -178,18 +178,41 @@ def agrid_program(
         # closes the measure-zero gap where the nearest robot sits exactly
         # on the cell boundary and cell (0,0) is otherwise empty.
         yield from _participate(
-            proc, grid, ell, cell, k=1, cohort=cohort, my_id=proc.robot_ids[0],
+            proc, grid, ell, k=1, tour=_cohort_tour(grid, ell, cell, 1, speed_floor),
+            cohort=cohort, my_id=proc.robot_ids[0],
             speed_floor=speed_floor, crash_aware=crash_aware,
         )
 
     return program
 
 
+#: One cohort's round: the gather ``Move`` to its cell's corner, the round
+#: start and its ``WaitUntil``, then per window the target cell, the
+#: ``Move`` to its corner, the window start and its ``WaitUntil``.
+_Tour = tuple[Move, float, WaitUntil, tuple[tuple[Cell, Move, float, WaitUntil], ...]]
+
+
+def _cohort_tour(
+    grid: CellGrid, ell: int, cell: Cell, k: int, speed_floor: float
+) -> _Tour:
+    """The round-``k`` tour of ``cell``'s cohort, built once where the
+    cohort forms and shared by every member's program (every member walks
+    the same corners at the same window starts)."""
+    t_round = agrid_round_start(ell, k, speed_floor)
+    windows = []
+    for i in range(1, 9):
+        target = grid.neighbor(cell, i)
+        start = agrid_window_start(ell, k, i, speed_floor)
+        windows.append((target, Move(grid.rect(target).lower_left), start, WaitUntil(start)))
+    gather = Move(grid.rect(cell).lower_left)
+    return gather, t_round, WaitUntil(t_round), tuple(windows)
+
+
 def _participant_program(
     grid: CellGrid,
     ell: int,
-    cell: Cell,
     k: int,
+    tour: _Tour,
     cohort: tuple[int, ...],
     my_id: int,
     speed_floor: float,
@@ -197,7 +220,7 @@ def _participant_program(
 ) -> Program:
     def program(proc: ProcessView) -> Generator[Action, Result, None]:
         yield from _participate(
-            proc, grid, ell, cell, k, cohort, my_id, speed_floor, crash_aware
+            proc, grid, ell, k, tour, cohort, my_id, speed_floor, crash_aware
         )
 
     return program
@@ -207,21 +230,22 @@ def _participate(
     proc: ProcessView,
     grid: CellGrid,
     ell: int,
-    cell: Cell,
     k: int,
+    tour: _Tour,
     cohort: tuple[int, ...],
     my_id: int,
     speed_floor: float = 1.0,
     crash_aware: bool = False,
 ) -> Generator[Action, Result, None]:
-    """Round-``k`` participation for a robot woken in round ``k-1`` in
-    ``cell``: tour the 8 adjacent cells; the cohort leader explores each."""
-    corner = grid.rect(cell).lower_left
-    yield Move(corner)
-    t_round = agrid_round_start(ell, k, speed_floor)
+    """Round-``k`` participation for a robot woken in round ``k-1``: walk
+    the cohort's ``tour`` of the 8 adjacent cells; the cohort leader
+    explores each."""
+    gather, t_round, wait_round, windows = tour
+    yield gather
     _assert_on_time(proc, t_round, "agrid round start")
-    yield WaitUntil(t_round)
+    yield wait_round
     if crash_aware:
+        corner = gather.target
         # Leader election among the members actually standing at the
         # corner: the wake-time cohort may contain crashed robots (parked
         # at their wake positions, never gathering).  Every present member
@@ -239,12 +263,10 @@ def _participate(
         leader = my_id == min(present)
     else:
         leader = my_id == min(cohort)
-    for i in range(1, 9):
-        target = grid.neighbor(cell, i)
-        yield Move(grid.rect(target).lower_left)
-        start = agrid_window_start(ell, k, i, speed_floor)
+    for i, (target, move, start, wait) in enumerate(windows, 1):
+        yield move
         _assert_on_time(proc, start, f"agrid window {i}")
-        yield WaitUntil(start)
+        yield wait
         if leader:
             yield Annotate("agrid:window", {"cell": target, "round": k, "i": i})
             yield from _explore_and_wake_cell(
@@ -278,10 +300,11 @@ def _explore_and_wake_cell(
     positions = [targets[t] for t in target_ids]
     schedule = quadtree_schedule(proc.position, positions, region=rect)
     plan, posmap = plan_from_schedule(schedule, target_ids, root_id=-1)
+    tour = _cohort_tour(grid, ell, cell, next_round, speed_floor)
 
     def after(rid: int) -> Program:
         return _participant_program(
-            grid, ell, cell, next_round, cohort, rid, speed_floor, crash_aware
+            grid, ell, next_round, tour, cohort, rid, speed_floor, crash_aware
         )
 
     yield from execute_wake_plan(proc, plan, posmap, my_id=-1, after=after)

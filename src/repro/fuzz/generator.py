@@ -53,20 +53,24 @@ _SLOW_SPEED_CHOICES = (0.05, 0.25, 0.5, 0.9)
 
 
 def _admissible(config: FuzzConfig) -> bool:
-    """Registry-level capacity guard (e.g. ``exact``'s ``max_n``).
+    """Judge the instance a config actually builds.
 
-    ``FuzzConfig`` construction validates schemas; ``max_n`` is only
-    enforced at execution time, so a mutation doubling ``n`` past an
-    algorithm's capacity must be rejected here, not settled as a
-    spurious unexpected-exception.
+    ``FuzzConfig`` construction validates schemas only.  The instance can
+    still fail to build (``l1_diamond`` asked for more robots than its
+    lattice holds) or hold more robots than ``n`` says
+    (``two_clusters_bridge`` pads its blobs and bridge), and ``max_n``
+    (e.g. ``exact``'s) is only enforced at execution time.  Such a config
+    must be rejected here, not settled as a spurious harness error or
+    unexpected exception.
     """
     from ..core.registry import get_algorithm
 
-    spec = get_algorithm(config.algorithm)
-    if spec.max_n is None:
-        return True
-    n = config.n_hint
-    return n is None or n <= spec.max_n
+    try:
+        instance = config.request().instance()
+    except (ValueError, KeyError):
+        return False
+    max_n = get_algorithm(config.algorithm).max_n
+    return max_n is None or instance.n <= max_n
 
 
 class ConfigGenerator:

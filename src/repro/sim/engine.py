@@ -16,14 +16,20 @@ Makespan accounting follows the paper: the makespan of an execution is the
 time of the last wake; the engine also reports the full termination time
 (last process finishing its moves), which upper-bounds it.
 
-Hot-path design (PR 4): actions dispatch through a type->handler table
-(no isinstance ladder); trace events are guarded at the call site so a
-disabled trace never allocates; each process caches its team speed (the
-slowest member) and its :class:`RobotView` tuple; and snapshots are memoized
-per ``(time, center)`` between world mutations, so the repeated Looks of a
-stationary cohort do not rebuild and re-sort identical views.  All of it is
-observationally invisible: traces, makespans and cache keys are pinned
-byte-identical by ``tests/sim/test_golden_trace.py``.
+Hot-path design: actions dispatch through a type->handler table (no
+isinstance ladder); trace events are guarded at the call site so a disabled
+trace never allocates; each process caches its team speed (the slowest
+member); snapshots are memoized per ``(time, center)`` between world
+mutations, so the repeated Looks of a stationary cohort do not rebuild and
+re-sort identical views; and Look sees awake robots grouped by shared
+trajectory.  A *site* holds everything stationary at one exact point
+(processes and idle robots, with a cached view tuple); a *convoy* holds the
+processes in flight on one identical straight segment.  A Look tests one
+distance per site and interpolates once per convoy, however large the
+cohorts.  All of it is observationally invisible: traces, makespans and
+cache keys are pinned byte-identical by ``tests/sim/test_golden_trace.py``,
+and every Look is checked against a brute-force oracle by
+``tests/sim/test_look_oracle.py``.
 """
 
 from __future__ import annotations
@@ -102,14 +108,14 @@ class _Process:
         "state",
         "started",
         "speed",
-        "views",
+        "site",
+        "convoy",
         "sleep_cache",
         "sleep_fat_off",
         "motion_from",
         "motion_start",
         "motion_to",
         "motion_end",
-        "motion_bbox",
         "motion_path",
         "motion_ends",
     )
@@ -132,9 +138,11 @@ class _Process:
         #: Maintained on every membership change instead of rescanned per
         #: move — robot speeds are fixed at world construction.
         self.speed = speed
-        #: Cached ``RobotView`` tuple for this process while stationary;
-        #: invalidated on any membership or position change.
-        self.views: tuple[RobotView, ...] | None = None
+        #: Where Look finds this process: the :class:`_Site` it stands on
+        #: while stationary, the :class:`_Convoy` it rides while moving
+        #: (exactly one of the two is set for a live process).
+        self.site: _Site | None = None
+        self.convoy: _Convoy | None = None
         #: Fat-ball sleeping-candidate cache ``[wake_epoch, center,
         #: candidates, margin, hits]`` — see Engine._do_look.
         self.sleep_cache: list | None = None
@@ -148,9 +156,6 @@ class _Process:
         self.motion_start = 0.0
         self.motion_to: Point | None = None
         self.motion_end = 0.0
-        # Axis-aligned bounds of the current segment, pre-expanded by the
-        # visibility radius: a cheap reject for snapshot queries.
-        self.motion_bbox: tuple[float, float, float, float] | None = None
         # Piecewise motion state for a Sweep: the lattice run plus the
         # parallel per-segment end-time list for bisection (segment ``i``
         # runs waypoint ``i-1`` -> ``i`` over ``ends[i-1]..ends[i]``, with
@@ -166,7 +171,7 @@ class _Process:
     def xy_at(self, time: float) -> tuple[float, float]:
         """Raw interpolated coordinates — ``position_at`` minus the Point.
 
-        The snapshot mover scan probes every candidate mover per Look; a
+        The snapshot mover scan probes every candidate convoy per Look; a
         sweep's whole-run bbox admits many candidates that an exact
         distance check then rejects, so the probe must not allocate a
         Point.  A sweep's active segment is found by bisecting its end
@@ -313,14 +318,18 @@ class Engine:
         self.visibility_radius = world.visibility_radius
         self._processes: Dict[int, _Process] = {}
         self._owned: set[int] = set()        # robots owned by a live process
-        self._idle_robots: set[int] = set()  # awake robots with no live process
-        self._idle_index = GridHash(cell_size=self.visibility_radius)
-        # Snapshot acceleration: stationary processes are spatially indexed
-        # by pid; only the (few) currently-moving processes are scanned
-        # linearly with position interpolation.
-        self._stationary = GridHash(cell_size=self.visibility_radius)
-        self._moving: set[int] = set()
-        # Vectorized mover-bbox index, engaged only when many processes
+        # Awake robots as Look sees them, grouped by shared trajectory.
+        # Sites: one per exact point, holding the stationary processes and
+        # idle robots (awake, no live process) there.  Their spatial index
+        # is built by the first Look that needs it (see _do_look), so runs
+        # that never Look past a handful of sites never maintain one.
+        self._sites: dict[Point, _Site] = {}
+        self._site_index: GridHash | None = None
+        self._idle: dict[int, _Site] = {}  # idle robot -> its site
+        # Convoys: one per identical straight segment in flight (sweeps
+        # ride alone), scanned with one interpolation each.
+        self._convoys: dict[Any, _Convoy] = {}
+        # Vectorized convoy-bbox index, engaged only when many convoys
         # move concurrently (see _MOVER_INDEX_ON); None = plain loop mode.
         self._movers: _MoverIndex | None = None
         # Memoized snapshot views per (time, center), flushed on any world
@@ -377,15 +386,15 @@ class Engine:
         for rid in ids:
             if not close_to(robots[rid].position, base, self.co_location_tol):
                 raise CoLocationError(f"robot {rid} is not at {base}")
-            self._idle_robots.discard(rid)
-            self._idle_index.discard(rid)
+            if rid in self._idle:
+                self._unidle(rid)
             self._owned.add(rid)
         pid = next(self._pid_counter)
         generator = program(ProcessView(self, pid))
         speed = min(robots[rid].speed for rid in ids)
         proc = _Process(pid, generator, ids, base, speed)
         self._processes[pid] = proc
-        self._stationary.insert(pid, base)
+        self._park(proc)
         self._look_cache.clear()
         self._schedule(self.now, pid, Result(self.now, None))
         trace = self.trace
@@ -455,14 +464,8 @@ class Engine:
             proc.position = proc.motion_to
             proc.motion_from = proc.motion_to = None
             proc.motion_path = proc.motion_ends = None
-            proc.views = None
-            self._moving.discard(proc.pid)
-            movers = self._movers
-            if movers is not None:
-                movers.discard(proc.pid)
-                if len(self._moving) < _MOVER_INDEX_OFF:
-                    self._movers = None
-            self._stationary.move_key(proc.pid, proc.position)
+            self._leave_convoy(proc)
+            self._park(proc)
             self._look_cache.clear()
         proc.state = "ready"
 
@@ -496,21 +499,17 @@ class Engine:
 
     def _finish(self, proc: _Process) -> None:
         proc.state = "done"
-        self._stationary.discard(proc.pid)
-        self._moving.discard(proc.pid)
-        if self._movers is not None:
-            self._movers.discard(proc.pid)
         position = proc.position
         robots = self.world.robots
         for rid in proc.robot_ids:
             robots[rid].position = position  # lazy sync point
-            self._idle_robots.add(rid)
-            self._idle_index.insert(rid, position)
+            self._make_idle(rid, position)
             self._owned.discard(rid)
+        self._unpark(proc)
         # The look memo survives a process end: the robots park exactly
         # where the process stood, so every cached view of them (awake, at
-        # this position) keeps the same value when rebuilt from the idle
-        # index.  Keeping the memo is what makes a cohort gather O(k):
+        # this position) keeps the same value when rebuilt from their
+        # site.  Keeping the memo is what makes a cohort gather O(k):
         # thousands of same-instant Looks at one corner, where each
         # follower finishing between Looks used to flush the cache and
         # force an O(k) rebuild per participant.
@@ -521,7 +520,7 @@ class Engine:
             )
         del self._processes[proc.pid]
         # Idle robots keep their last (already synced) positions and remain
-        # visible to Look via the idle index.
+        # visible to Look through their site.
 
     # -- handlers (uniform ``(self, proc, action)`` signature) --------------
     # Dispatched through the module-level _HANDLERS type table (inlined in
@@ -543,30 +542,20 @@ class Engine:
                     rid, robot.odometer + length, robot.budget
                 )
         if length <= EPS:
-            proc.position = target
-            proc.views = None
-            self._stationary.move_key(proc.pid, target)
-            self._look_cache.clear()
+            self._reposition(proc, target)
             self._schedule(self.now, proc.pid, Result(self.now, None))
             proc.state = "waiting"
             return None
         for rid in proc.robot_ids:
             robots[rid].odometer += length
-        self._moving.add(proc.pid)
+        self._unpark(proc)
         self._look_cache.clear()
         proc.state = "moving"
         proc.motion_from = position
-        proc.motion_start = self.now
+        now = proc.motion_start = self.now
         proc.motion_to = target
-        end = proc.motion_end = self.now + length / proc.speed
-        movers = self._movers
-        if movers is not None:
-            bbox = proc.motion_bbox = _segment_bbox(
-                position, target, self.visibility_radius
-            )
-            movers.put(proc.pid, bbox)
-        else:
-            proc.motion_bbox = None  # built lazily by the first Look
+        end = proc.motion_end = now + length / proc.speed
+        self._join_convoy(proc, _segment_key(position, target, now, end))
         self._schedule(end, proc.pid, Result(end, None))
         trace = self.trace
         if trace.enabled:
@@ -624,14 +613,11 @@ class Engine:
         if t <= now:
             # Degenerate all-tiny sweep: complete immediately, like a
             # zero-length move.
-            proc.position = target
-            proc.views = None
-            self._stationary.move_key(proc.pid, target)
-            self._look_cache.clear()
+            self._reposition(proc, target)
             self._schedule(now, proc.pid, Result(now, None))
             proc.state = "waiting"
             return None
-        self._moving.add(proc.pid)
+        self._unpark(proc)
         self._look_cache.clear()
         proc.state = "moving"
         proc.motion_from = position
@@ -640,14 +626,8 @@ class Engine:
         proc.motion_end = t
         proc.motion_path = action
         proc.motion_ends = ends
-        movers = self._movers
-        if movers is not None:
-            bbox = proc.motion_bbox = _run_bbox(
-                position, action, self.visibility_radius
-            )
-            movers.put(proc.pid, bbox)
-        else:
-            proc.motion_bbox = None  # built lazily by the first Look
+        # A sweep rides alone: its convoy is keyed by the process itself.
+        self._join_convoy(proc, proc)
         self._schedule(t, proc.pid, Result(t, None))
         trace = self.trace
         if trace.enabled:
@@ -695,15 +675,95 @@ class Engine:
         return Result(self.now, None)
 
     def _note_segment(self, proc: _Process, target: Point) -> None:
-        """Register a fresh motion segment with the mover-scan machinery."""
+        """Put a process starting a fresh motion segment in its convoy."""
+        if proc.convoy is not None:
+            self._leave_convoy(proc)
+        self._join_convoy(
+            proc,
+            _segment_key(proc.motion_from, target, proc.motion_start, proc.motion_end),
+        )
+
+    # -- Look grouping: sites and convoys ------------------------------------
+    def _site_at(self, point: Point) -> _Site:
+        """The site at ``point``, created on first use; its views go stale
+        because the caller is about to add to it."""
+        site = self._sites.get(point)
+        if site is None:
+            site = self._sites[point] = _Site(point)
+            if self._site_index is not None:
+                self._site_index.insert(site, point)
+        else:
+            site.views = None
+        return site
+
+    def _drop_from_site(self, site: _Site) -> None:
+        """Forget ``site`` once nothing stands on it, else stale its views."""
+        if site.procs or site.idle:
+            site.views = None
+        else:
+            del self._sites[site.point]
+            if self._site_index is not None:
+                self._site_index.remove(site)
+
+    def _park(self, proc: _Process) -> None:
+        """Stand a stationary process on the site of its position."""
+        site = proc.site = self._site_at(proc.position)
+        site.procs.append(proc)
+
+    def _unpark(self, proc: _Process) -> None:
+        site = proc.site
+        proc.site = None
+        site.procs.remove(proc)
+        self._drop_from_site(site)
+
+    def _reposition(self, proc: _Process, target: Point) -> None:
+        """Complete a zero-length move: the process stays stationary."""
+        site = proc.site
+        if target == site.point:
+            # Same site; the views still change if ``target`` differs from
+            # the old position in the sign of a zero.
+            proc.position = target
+            site.views = None
+        else:
+            self._unpark(proc)
+            proc.position = target
+            self._park(proc)
+        self._look_cache.clear()
+
+    def _make_idle(self, rid: int, point: Point) -> None:
+        """Park an awake robot that no live process owns at ``point``."""
+        site = self._idle[rid] = self._site_at(point)
+        site.idle.append(RobotView(rid, point, True))
+
+    def _unidle(self, rid: int) -> None:
+        site = self._idle.pop(rid)
+        site.idle = [view for view in site.idle if view.robot_id != rid]
+        self._drop_from_site(site)
+
+    def _join_convoy(self, proc: _Process, key: Any) -> None:
+        convoy = self._convoys.get(key)
+        if convoy is None:
+            convoy = self._convoys[key] = _Convoy(key, proc)
+            movers = self._movers
+            if movers is not None:
+                movers.put(convoy, convoy.padded_bbox(self.visibility_radius))
+        else:
+            convoy.members.append(proc)
+        proc.convoy = convoy
+
+    def _leave_convoy(self, proc: _Process) -> None:
+        convoy = proc.convoy
+        proc.convoy = None
+        members = convoy.members
+        members.remove(proc)
+        if members:
+            return
+        del self._convoys[convoy.key]
         movers = self._movers
         if movers is not None:
-            bbox = proc.motion_bbox = _segment_bbox(
-                proc.motion_from, target, self.visibility_radius
-            )
-            movers.put(proc.pid, bbox)
-        else:
-            proc.motion_bbox = None  # built lazily by the first Look
+            movers.discard(convoy)
+            if len(self._convoys) < _MOVER_INDEX_OFF:
+                self._movers = None
 
     # -- timed actions ------------------------------------------------------
     def _set_waiting(self, proc: _Process, wake_at: float) -> None:
@@ -733,20 +793,15 @@ class Engine:
         if length <= EPS:
             # Zero-length move: stay put, complete immediately by scheduling
             # at the current time (keeps semantics uniform).
-            proc.position = waypoints[-1]
-            proc.views = None
-            self._stationary.move_key(proc.pid, proc.position)
-            self._look_cache.clear()
+            self._reposition(proc, waypoints[-1])
             self._schedule(self.now, proc.pid, Result(self.now, None))
             proc.state = "waiting"
             return None
         for rid in proc.robot_ids:
             robots[rid].odometer += length
-        # The process keeps its (now stale) slot in the stationary index
-        # while moving; Look skips it there via the _moving set and scans
-        # movers with interpolation instead.  On arrival the slot is
-        # updated in place — a same-cell hop touches no bucket at all.
-        self._moving.add(proc.pid)
+        # The process leaves its site for the length of the move; each
+        # segment puts it in the convoy of that segment (_note_segment).
+        self._unpark(proc)
         self._look_cache.clear()
         # A process travels at the speed of its slowest member (the team
         # moves together, cached on the process); under the default world
@@ -885,85 +940,67 @@ class Engine:
                         if view is None:
                             view = sleep_views[rid] = RobotView(rid, pos, False)
                         build.append(view)
-            # Awake robots: live processes (interpolated) + idle robots.
-            # Movers keep a stale slot in the stationary index and are
-            # skipped there; they are scanned with interpolation below.
-            processes = self._processes
-            moving = self._moving
-            stationary = self._stationary
-            n_stationary = len(stationary)
-            if n_stationary == 1:
-                # Only the observer itself can be indexed (it is looking,
-                # so it is stationary): no query needed.
-                hits = [proc.pid]
-            elif n_stationary <= 6:
-                # Tiny index: a direct closed-ball scan (the oracle
-                # predicate itself) beats the 3x3 cell walk.
-                hits = [
-                    pid
-                    for pid, pos in stationary.items()
-                    if pid not in moving and distance(pos, center) <= limit
+            # Awake robots, one distance test per site (stationary teams
+            # and idle robots sharing a point) and one interpolation per
+            # convoy (movers sharing a segment).
+            hyp = math.hypot
+            sites = self._sites
+            if len(sites) == 1:
+                # Only the observer's own site exists (it is looking, so it
+                # is stationary): no query needed.
+                site_hits = [proc.site]
+            elif len(sites) <= 6:
+                # Few sites: a direct closed-ball scan (the oracle predicate
+                # itself) beats the 3x3 cell walk.
+                site_hits = [
+                    site
+                    for point, site in sites.items()
+                    if hyp(point[0] - cx, point[1] - cy) <= limit
                 ]
             else:
-                hits = [
-                    pid
-                    for pid, _pos in stationary.query_ball(center, radius)
-                    if pid not in moving
-                ]
-            for pid in hits:
-                other = processes[pid]
-                cached = other.views
+                index = self._site_index
+                if index is None:
+                    index = self._site_index = GridHash(cell_size=radius)
+                    for point, site in sites.items():
+                        index.insert(site, point)
+                site_hits = [site for site, _point in index.query_ball(center, radius)]
+            for site in site_hits:
+                cached = site.views
                 if cached is None:
-                    opos = other.position
-                    cached = other.views = tuple(
-                        RobotView(rid, opos, True) for rid in other.robot_ids
-                    )
+                    cached = site.views = site.build_views()
                 build.extend(cached)
-            if moving:
+            convoys = self._convoys
+            if convoys:
                 movers = self._movers
                 if (
                     movers is None
                     and _np is not None
-                    and len(moving) > _MOVER_INDEX_ON
+                    and len(convoys) > _MOVER_INDEX_ON
                 ):
-                    # Too many concurrent movers for a per-look Python
+                    # Too many concurrent convoys for a per-look Python
                     # scan: build the vectorized bbox index (maintained
                     # incrementally from here on).
                     movers = self._movers = _MoverIndex()
-                    for mpid in moving:
-                        other = processes[mpid]
-                        bbox = other.motion_bbox
-                        if bbox is None:
-                            bbox = other.motion_bbox = _motion_bbox_of(
-                                other, radius
-                            )
-                        movers.put(mpid, bbox)
+                    for convoy in convoys.values():
+                        movers.put(convoy, convoy.padded_bbox(radius))
                 if movers is not None:
-                    mover_hits = movers.candidates(cx, cy)
+                    convoy_hits = movers.candidates(cx, cy)
                 else:
-                    mover_hits = []
-                    for pid in moving:
-                        other = processes[pid]
-                        bbox = other.motion_bbox
-                        if bbox is None:
-                            bbox = other.motion_bbox = _motion_bbox_of(
-                                other, radius
-                            )
+                    convoy_hits = []
+                    for convoy in convoys.values():
+                        bbox = convoy.padded_bbox(radius)
                         if bbox[0] <= cx <= bbox[2] and bbox[1] <= cy <= bbox[3]:
-                            mover_hits.append(pid)
-                hyp = math.hypot
-                for pid in mover_hits:
-                    other = processes[pid]
+                            convoy_hits.append(convoy)
+                now = self.now
+                for convoy in convoy_hits:
                     # Allocation-free probe (sweep bboxes admit many
                     # candidates); materialize the Point only on a hit.
-                    ox, oy = other.xy_at(self.now)
+                    ox, oy = convoy.members[0].xy_at(now)
                     if hyp(ox - cx, oy - cy) <= limit:
                         pos = Point(ox, oy)
-                        for rid in other.robot_ids:
-                            build.append(RobotView(rid, pos, True))
-            if self._idle_robots:
-                for rid, pos in self._idle_index.query_ball(center, radius):
-                    build.append(RobotView(rid, pos, True))
+                        for member in convoy.members:
+                            for rid in member.robot_ids:
+                                build.append(RobotView(rid, pos, True))
             # Plain tuple sort: robot ids are unique and lead each view,
             # so natural ordering equals sorting by id — without the
             # key-extraction pass (positions never get compared).
@@ -1008,8 +1045,7 @@ class Engine:
             # makespan) but crashes before computing — it parks in place,
             # joins no process and runs no program.  Returning None tells
             # wake-plan programs to inherit its pending duties.
-            self._idle_robots.add(action.robot_id)
-            self._idle_index.insert(action.robot_id, robot.position)
+            self._make_idle(action.robot_id, robot.position)
             if trace.enabled:
                 trace.append(
                     self.now, "crash", proc.pid, {"robot": action.robot_id}
@@ -1018,7 +1054,7 @@ class Engine:
         self._owned.add(action.robot_id)
         if action.program is None:
             proc.robot_ids.append(action.robot_id)
-            proc.views = None
+            proc.site.views = None
             if robot.speed < proc.speed:
                 proc.speed = robot.speed
             return None
@@ -1026,7 +1062,7 @@ class Engine:
         generator = action.program(ProcessView(self, pid))
         child = _Process(pid, generator, [action.robot_id], robot.position, robot.speed)
         self._processes[pid] = child
-        self._stationary.insert(pid, robot.position)
+        self._park(child)
         self._schedule(self.now, pid, Result(self.now, None))
         if trace.enabled:
             trace.append(
@@ -1057,15 +1093,15 @@ class Engine:
             speed = min(robots[rid].speed for rid in ids)
             child = _Process(pid, generator, list(ids), proc.position, speed)
             self._processes[pid] = child
-            self._stationary.insert(pid, proc.position)
+            self._park(child)
             self._schedule(self.now, pid, Result(self.now, None))
             if trace.enabled:
                 trace.append(
                     self.now, "process_start", pid, {"robots": list(ids)}
                 )
             children.append(pid)
+        # The children parked on the parent's site, which staled its views.
         proc.robot_ids = [rid for rid in proc.robot_ids if rid not in assigned]
-        proc.views = None
         proc.speed = min(robots[rid].speed for rid in proc.robot_ids)
         self._look_cache.clear()
         if trace.enabled:
@@ -1116,7 +1152,7 @@ class Engine:
                 raise AbsorbError(f"robot {rid} is not an awake robot")
             if robot.crashed:
                 raise AbsorbError(f"robot {rid} crashed on wake; it cannot rejoin")
-            if rid not in self._idle_robots:
+            if rid not in self._idle:
                 raise AbsorbError(f"robot {rid} is not idle (still owned)")
             if not close_to(robot.position, proc.position, self.co_location_tol):
                 raise AbsorbError(
@@ -1124,15 +1160,14 @@ class Engine:
                     f"process {proc.pid} at {proc.position}"
                 )
         for rid in action.robot_ids:
-            self._idle_robots.remove(rid)
-            self._idle_index.discard(rid)
+            self._unidle(rid)
             self._owned.add(rid)
             proc.robot_ids.append(rid)
             robot = self.world.robots[rid]
             robot.position = proc.position
             if robot.speed < proc.speed:
                 proc.speed = robot.speed
-        proc.views = None
+        proc.site.views = None
         self._look_cache.clear()
         trace = self.trace
         if trace.enabled:
@@ -1168,67 +1203,134 @@ class _SegmentCont:
         self.advance = advance
 
 
-#: Mover-count thresholds for switching the Look mover scan between the
-#: plain Python loop (zero bookkeeping, fine for a handful of movers) and
-#: the vectorized bbox index (pays ~1us of upkeep per move, but answers
-#: "which movers could this observer see" with one numpy mask instead of
-#: an O(#movers) Python loop — the difference between O(n) and O(n^2)
-#: total look cost when whole cohorts travel simultaneously at scale).
+class _Site:
+    """Everything awake and stationary at one exact point: the processes
+    standing there and the idle robots parked there.
+
+    Look tests one distance per site and reuses its views until a member
+    joins, leaves or changes its robots.  Points equal as dict keys may
+    still differ in the sign of a zero, so each view carries its own
+    member's position; the distance test cannot tell them apart.
+    """
+
+    __slots__ = ("point", "procs", "idle", "views")
+
+    def __init__(self, point: Point) -> None:
+        self.point = point
+        self.procs: list[_Process] = []
+        self.idle: list[RobotView] = []  # an idle robot's view never changes
+        self.views: tuple[RobotView, ...] | None = None
+
+    def build_views(self) -> tuple[RobotView, ...]:
+        views = [
+            RobotView(rid, proc.position, True)
+            for proc in self.procs
+            for rid in proc.robot_ids
+        ]
+        views += self.idle
+        return tuple(views)
+
+
+class _Convoy:
+    """Processes in flight on one identical straight segment, or one sweep.
+
+    Members interpolate bit-identically (see :func:`_segment_key`), so a
+    Look interpolates the first member once for all of them.
+    """
+
+    __slots__ = ("key", "members", "bbox")
+
+    def __init__(self, key: Any, first: _Process) -> None:
+        self.key = key
+        self.members = [first]
+        self.bbox: tuple[float, float, float, float] | None = None
+
+    def padded_bbox(self, radius: float) -> tuple[float, float, float, float]:
+        """Bounds of the motion expanded by ``radius``, built on first use."""
+        bbox = self.bbox
+        if bbox is None:
+            lead = self.members[0]
+            run = lead.motion_path
+            if run is not None:
+                bbox = _run_bbox(lead.motion_from, run, radius)
+            else:
+                bbox = _segment_bbox(lead.motion_from, lead.motion_to, radius)
+            self.bbox = bbox
+        return bbox
+
+
+def _segment_key(a: Point, b: Point, start: float, end: float) -> tuple:
+    """Convoy key of the segment ``a -> b`` over ``start..end``.
+
+    Equal keys must interpolate to the same bits.  Float ``==`` equates
+    ``-0.0`` and ``0.0``, yet a Look at the start instant reports ``a``
+    itself (and at the end ``b``), so a zero coordinate also keys on its
+    sign.  Times need no such care: the clock starts at ``0.0`` and only
+    moves forward.
+    """
+    if 0.0 in a or 0.0 in b:
+        signs = tuple(math.copysign(1.0, c) for c in (a[0], a[1], b[0], b[1]))
+        return a, b, start, end, signs
+    return a, b, start, end
+
+
+#: Convoy-count thresholds for switching the Look mover scan between the
+#: plain Python loop (zero bookkeeping, fine for a handful of convoys) and
+#: the vectorized bbox index (pays ~1us of upkeep per convoy, but answers
+#: "which convoys could this observer see" with one numpy mask instead of
+#: an O(#convoys) Python loop — the difference between O(n) and O(n^2)
+#: total look cost when many cohorts travel simultaneously at scale).
 _MOVER_INDEX_ON = 32
 _MOVER_INDEX_OFF = 8
 
 
 class _MoverIndex:
-    """Parallel-array bbox index over currently-moving processes.
+    """Parallel-array bbox index over the convoys in flight.
 
     Rows are kept dense with swap-removal; a query is four vectorized
-    comparisons over the padded segment bboxes.  Candidate *order* is
-    arbitrary (rows shuffle on removal), which is safe: snapshot views are
-    sorted by robot id downstream.
+    comparisons over the padded bboxes.  Candidate *order* is arbitrary
+    (rows shuffle on removal), which is safe: snapshot views are sorted by
+    robot id downstream.
     """
 
-    __slots__ = ("pids", "slots", "boxes")
+    __slots__ = ("keys", "slots", "boxes")
 
     def __init__(self) -> None:
-        self.pids: list[int] = []
-        self.slots: dict[int, int] = {}
+        self.keys: list[Any] = []
+        self.slots: dict[Any, int] = {}
         self.boxes = _np.empty((64, 4), dtype=_np.float64)
 
-    def put(self, pid: int, bbox: tuple[float, float, float, float]) -> None:
-        """Insert ``pid`` or update its bbox (new polyline segment)."""
-        slot = self.slots.get(pid)
-        if slot is None:
-            slot = len(self.pids)
-            self.slots[pid] = slot
-            self.pids.append(pid)
-            if slot == len(self.boxes):
-                grown = _np.empty((2 * len(self.boxes), 4), dtype=_np.float64)
-                grown[:slot] = self.boxes
-                self.boxes = grown
+    def put(self, key: Any, bbox: tuple[float, float, float, float]) -> None:
+        """Insert ``key`` with its bbox."""
+        slot = len(self.keys)
+        self.slots[key] = slot
+        self.keys.append(key)
+        if slot == len(self.boxes):
+            grown = _np.empty((2 * len(self.boxes), 4), dtype=_np.float64)
+            grown[:slot] = self.boxes
+            self.boxes = grown
         self.boxes[slot] = bbox
 
-    def discard(self, pid: int) -> None:
-        slot = self.slots.pop(pid, None)
-        if slot is None:
-            return
-        last = len(self.pids) - 1
+    def discard(self, key: Any) -> None:
+        slot = self.slots.pop(key)
+        last = len(self.keys) - 1
         if slot != last:
-            last_pid = self.pids[last]
-            self.pids[slot] = last_pid
+            last_key = self.keys[last]
+            self.keys[slot] = last_key
             self.boxes[slot] = self.boxes[last]
-            self.slots[last_pid] = slot
-        self.pids.pop()
+            self.slots[last_key] = slot
+        self.keys.pop()
 
-    def candidates(self, x: float, y: float) -> list[int]:
-        """Pids whose padded segment bbox contains ``(x, y)``."""
-        k = len(self.pids)
+    def candidates(self, x: float, y: float) -> list[Any]:
+        """Keys whose padded bbox contains ``(x, y)``."""
+        k = len(self.keys)
         b = self.boxes
         mask = (
             (b[:k, 0] <= x) & (x <= b[:k, 2])
             & (b[:k, 1] <= y) & (y <= b[:k, 3])
         )
-        pids = self.pids
-        return [pids[i] for i in _np.nonzero(mask)[0]]
+        keys = self.keys
+        return [keys[i] for i in _np.nonzero(mask)[0]]
 
 
 def _segment_bbox(
@@ -1285,16 +1387,6 @@ def _run_bbox(
         max(origin[0], xmax) + pad,
         max(origin[1], ymax) + pad,
     )
-
-
-def _motion_bbox_of(
-    proc: _Process, radius: float
-) -> tuple[float, float, float, float]:
-    """Lazy mover bbox: segment bounds, or whole-run bounds for a sweep."""
-    run = proc.motion_path
-    if run is not None:
-        return _run_bbox(proc.motion_from, run, radius)
-    return _segment_bbox(proc.motion_from, proc.motion_to, radius)
 
 
 #: Exact-type dispatch table (the common case: all shipped actions are

@@ -42,6 +42,33 @@ class TestAdmissibility:
             if max_n is not None and config.n_hint is not None:
                 assert config.n_hint <= max_n
 
+    def test_config_whose_instance_cannot_build_is_rejected(self):
+        """A mutation can ask ``l1_diamond`` for more robots than its
+        lattice holds (16 of 12 points at radius 2, pitch 1): the schema
+        accepts it, the instance build raises."""
+        from repro.fuzz.generator import _admissible
+
+        config = FuzzConfig(
+            "awave", "l1_diamond", {"n": 16, "rho": 2.0, "pitch": 1.0, "seed": 0}
+        )
+        assert not _admissible(config)
+        assert _admissible(config.replace(scenario_kwargs={**config.scenario_kwargs, "n": 12}))
+
+    def test_capacity_is_judged_on_the_built_robot_count(self):
+        """``two_clusters_bridge(n=2, gap=20, spacing=1)`` builds 24 robots,
+        far past ``exact``'s ``max_n``, whatever its ``n`` says."""
+        from repro.fuzz.generator import _admissible
+
+        config = FuzzConfig(
+            "exact",
+            "two_clusters_bridge",
+            {"n": 2, "gap": 20.0, "spacing": 1.0, "seed": 0},
+        )
+        assert config.request().instance().n == 24
+        assert get_algorithm("exact").max_n < 24
+        assert not _admissible(config)
+        assert _admissible(config.replace(algorithm="greedy"))
+
     def test_every_config_validates_eagerly(self):
         # FuzzConfig construction builds the RunRequest; surviving the
         # generator means surviving both registries.

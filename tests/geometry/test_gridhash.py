@@ -1,8 +1,5 @@
 """GridHash correctness: queries must match brute force exactly."""
 
-import math
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,99 +84,3 @@ class TestQueryBall:
             g.insert(i, Point(i * 0.5, 0.0))
         found = g.query_keys(Point(25.0, 0.0), 10.0)
         assert len(found) == 41  # positions 15.0 .. 35.0 inclusive
-
-
-class TestNearest:
-    def test_nearest_empty(self):
-        assert GridHash(1.0).nearest(Point(0, 0)) is None
-
-    @given(point_lists.filter(bool), st.tuples(coords, coords))
-    def test_nearest_matches_brute_force(self, pts, center_xy):
-        g = GridHash(0.9)
-        for i, (x, y) in enumerate(pts):
-            g.insert(i, Point(x, y))
-        center = Point(*center_xy)
-        _key, pos = g.nearest(center)
-        best = min(distance(Point(x, y), center) for x, y in pts)
-        assert distance(pos, center) == pytest.approx(best)
-
-    def test_nearest_far_from_points(self):
-        g = GridHash(1.0)
-        g.insert("only", Point(100.0, 100.0))
-        key, pos = g.nearest(Point(0, 0))
-        assert key == "only"
-
-
-class TestMoveKey:
-    def test_same_cell_move_updates_position(self):
-        g = GridHash(1.0)
-        g.insert("a", Point(0.1, 0.1))
-        g.move_key("a", Point(0.4, 0.6))
-        assert g.position_of("a") == Point(0.4, 0.6)
-        assert g.query_keys(Point(0.4, 0.6), 0.01) == ["a"]
-
-    def test_cross_cell_move_rebuckets(self):
-        g = GridHash(1.0)
-        g.insert("a", Point(0.5, 0.5))
-        g.insert("b", Point(0.6, 0.5))
-        g.move_key("a", Point(5.5, 5.5))
-        assert g.query_keys(Point(0.6, 0.5), 0.2) == ["b"]
-        assert g.query_keys(Point(5.5, 5.5), 0.2) == ["a"]
-        # Nearest still sees the moved key at its new home.
-        key, pos = g.nearest(Point(5.0, 5.0))
-        assert key == "a" and pos == Point(5.5, 5.5)
-
-    def test_missing_key_raises(self):
-        g = GridHash(1.0)
-        with pytest.raises(KeyError):
-            g.move_key("ghost", Point(0, 0))
-
-    def test_move_sequence_matches_fresh_index(self):
-        rng = random.Random(7)
-        g = GridHash(0.8)
-        positions = {}
-        for key in range(30):
-            p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            g.insert(key, p)
-            positions[key] = p
-        for _ in range(200):
-            key = rng.randrange(30)
-            p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            g.move_key(key, p)
-            positions[key] = p
-        fresh = GridHash(0.8)
-        for key, p in positions.items():
-            fresh.insert(key, p)
-        probe = Point(0.0, 0.0)
-        assert sorted(g.query_ball(probe, 4.0)) == sorted(fresh.query_ball(probe, 4.0))
-        assert g.nearest(probe)[1] == fresh.nearest(probe)[1]
-
-
-class TestNearestBounds:
-    def test_nearest_after_boundary_removals(self):
-        """The incremental bbox must recompute when boundary cells empty."""
-        g = GridHash(1.0)
-        g.insert("far", Point(50.0, 50.0))
-        g.insert("near", Point(1.0, 1.0))
-        assert g.nearest(Point(0, 0))[0] == "near"
-        g.remove("far")  # boundary cell emptied -> bounds marked stale
-        assert g.nearest(Point(0, 0))[0] == "near"
-        g.remove("near")
-        assert g.nearest(Point(0, 0)) is None
-        g.insert("back", Point(-3.0, 2.0))
-        assert g.nearest(Point(0, 0))[0] == "back"
-
-    def test_nearest_many_removals_interleaved(self):
-        rng = random.Random(3)
-        g = GridHash(1.0)
-        pts = {}
-        for key in range(60):
-            p = Point(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            g.insert(key, p)
-            pts[key] = p
-        for key in list(pts)[::2]:
-            g.remove(key)
-            del pts[key]
-        probe = Point(2.0, -3.0)
-        best = min(pts.values(), key=lambda p: distance(p, probe))
-        assert g.nearest(probe)[1] == best

@@ -1,0 +1,329 @@
+"""Every Look against a brute-force oracle.
+
+A snapshot must list exactly the robots within ``radius + EPS`` of the
+observer: each live process's robots at its ``position_at(now)``, each
+idle robot at its parked position, each sleeper at its home.  The oracle
+compares ids, awake flags and coordinate bits (``float.hex``, so ``-0.0``
+and ``0.0`` differ).  The programs are random scripts over every action
+the engine knows, run by many processes at once, so whatever grouping
+the engine keeps for Look (points shared by stationary teams and idle
+robots, segments shared by movers, the vectorized mover index) is
+checked against the world state it stands for.
+"""
+
+import itertools
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.geometry import EPS, Point, close_to
+from repro.sim import (
+    CO_LOCATION_TOL,
+    SOURCE_ID,
+    Absorb,
+    Barrier,
+    Engine,
+    Fork,
+    LatticeAxis,
+    Look,
+    Move,
+    MovePath,
+    Sweep,
+    Wait,
+    WaitUntil,
+    Wake,
+    World,
+    WorldConfig,
+)
+from repro.sim.engine import _MOVER_INDEX_ON
+
+#: Targets and team homes.  Integer coordinates make many moves end at
+#: integer times, so Looks land on the exact start and end instants of
+#: other processes' motions; signed zeros exercise the ``-0.0`` rule.
+PALETTE = (
+    Point(0.0, 0.0),
+    Point(-0.0, 1.0),
+    Point(0.0, 1.0),
+    Point(2.0, 1.0),
+    Point(2.0, -0.0),
+    Point(1.0, 1.0),
+    Point(-1.0, 0.5),
+    Point(0.5, -1.5),
+    Point(3.0, 4.0),
+    Point(-0.0, -0.0),
+)
+#: Sleeper homes (robots to wake).
+SLEEPER_SPOTS = (
+    Point(0.5, 0.5),
+    Point(-0.0, 2.0),
+    Point(1.5, -0.0),
+    Point(2.0, 1.0),
+    Point(-1.0, -1.0),
+    Point(0.0, 0.0),
+    Point(2.5, 2.5),
+)
+XS = LatticeAxis([0.0, 0.75, 1.5])
+YS = LatticeAxis([-0.5, 0.5, 1.5])
+LATTICE = len(XS) * len(YS)
+
+spot = st.integers(0, len(PALETTE) - 1)
+leaf_ops = st.one_of(
+    st.tuples(st.just("move"), spot),
+    st.tuples(st.just("stay"), st.sampled_from([0.0, 0.5 * EPS])),
+    # A real move shorter than the co-location tolerance: Absorb may then
+    # take robots from a point next to its own.
+    st.tuples(st.just("nudge")),
+    st.tuples(st.just("path"), spot, spot),
+    st.tuples(
+        st.just("sweep"),
+        st.integers(0, LATTICE - 1),
+        st.integers(1, LATTICE),
+        st.one_of(st.none(), spot),
+    ),
+    st.tuples(st.just("until"), st.integers(0, 8).map(float)),
+    st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.just("absorb")),
+)
+leaf_scripts = st.lists(leaf_ops, min_size=1, max_size=4)
+team_ops = st.one_of(
+    leaf_ops,
+    st.tuples(
+        st.just("wake"),
+        st.integers(0, len(SLEEPER_SPOTS) - 1),
+        st.one_of(st.none(), leaf_scripts),
+    ),
+    st.tuples(st.just("cohort"), spot),
+    st.tuples(st.just("fork"), leaf_scripts),
+)
+teams = st.tuples(
+    spot, st.integers(1, 3), st.lists(team_ops, min_size=1, max_size=6)
+)
+
+
+def observed(snapshot):
+    return [
+        (v.robot_id, v.awake, v.position[0].hex(), v.position[1].hex())
+        for v in snapshot.robots
+    ]
+
+
+def oracle(engine, world, center):
+    """The snapshot at ``center``, from the world's ground truth alone."""
+    limit = world.visibility_radius + EPS
+    now = engine.now
+    seen = []
+    owned = set()
+
+    def visible(pos, rid, awake):
+        if math.hypot(pos[0] - center[0], pos[1] - center[1]) <= limit:
+            seen.append((rid, awake, pos[0].hex(), pos[1].hex()))
+
+    for proc in engine._processes.values():
+        pos = proc.position_at(now)
+        for rid in proc.robot_ids:
+            owned.add(rid)
+            visible(pos, rid, True)
+    for rid, robot in world.robots.items():
+        if rid not in owned:
+            visible(robot.position, rid, robot.awake)
+    return sorted(seen)
+
+
+class Run:
+    """One random multi-process run whose every Look is oracle-checked."""
+
+    def __init__(self, sleepers, team_specs, crowd, config):
+        homes = [PALETTE[at] for at, size, _ in team_specs for _ in range(size)]
+        crowd_homes = [Point(-2.0 + 0.125 * j, 0.25) for j in range(crowd)]
+        self.world = World(
+            source=Point(0.0, 0.0),
+            positions=homes + crowd_homes + [SLEEPER_SPOTS[s] for s in sleepers],
+            config=config,
+        )
+        self.engine = Engine(self.world)
+        self.sleeper_ids = {
+            s: len(homes) + crowd + 1 + i for i, s in enumerate(sleepers)
+        }
+        self.keys = itertools.count()
+        self.looks = 0
+        self.engine.spawn(self.script([("until", 1.0), ("move", 3)]), [SOURCE_ID])
+        rid = 1
+        for _at, size, ops in team_specs:
+            ids = list(range(rid, rid + size))
+            rid += size
+            for r in ids:
+                self.world.mark_awake(r, 0.0, None)
+            self.engine.spawn(self.script(ops), ids)
+        for j in range(crowd):
+            # Distinct segments, all moving at once: more concurrent movers
+            # than the mover index's switch-on threshold.
+            self.world.mark_awake(rid, 0.0, None)
+            walk = [("move", j % len(PALETTE)), ("until", 3.0),
+                    ("move", (j + 3) % len(PALETTE))]
+            self.engine.spawn(self.script(walk), [rid])
+            rid += 1
+
+    def check(self):
+        result = self.engine.run()
+        assert not self.engine._processes
+        return result
+
+    # -- programs ------------------------------------------------------------
+    def script(self, ops):
+        def program(proc):
+            yield from self.look(proc)
+            for op in ops:
+                yield from self.step(proc, op)
+                yield from self.look(proc)
+
+        return program
+
+    def look(self, proc):
+        snapshot = (yield Look()).value
+        assert snapshot.observer == proc.position
+        assert observed(snapshot) == oracle(
+            self.engine, self.world, snapshot.observer
+        )
+        self.looks += 1
+
+    def idle_here(self, proc):
+        owned = {r for p in self.engine._processes.values() for r in p.robot_ids}
+        return [
+            rid
+            for rid, robot in self.world.robots.items()
+            if robot.awake and not robot.crashed and rid not in owned
+            and close_to(robot.position, proc.position, CO_LOCATION_TOL)
+        ]
+
+    def step(self, proc, op):
+        kind = op[0]
+        if kind == "move":
+            yield Move(PALETTE[op[1]])
+        elif kind == "stay":
+            # Zero-length: ``x + 0.0`` turns a ``-0.0`` into ``0.0``.
+            here = proc.position
+            yield Move(Point(here[0] + op[1], here[1]))
+        elif kind == "nudge":
+            here = proc.position
+            yield Move(Point(here[0], here[1] + 0.25 * CO_LOCATION_TOL))
+        elif kind == "path":
+            yield MovePath([PALETTE[op[1]], PALETTE[op[2]]])
+        elif kind == "sweep":
+            start, stop, tail = op[1], max(op[1], op[2]), op[3]
+            if start < stop or tail is not None:
+                yield Sweep(XS, YS, start, stop, None if tail is None else PALETTE[tail])
+        elif kind == "until":
+            yield WaitUntil(op[1])
+        elif kind == "wait":
+            yield Wait(op[1])
+        elif kind == "absorb":
+            idle = self.idle_here(proc)
+            if idle:
+                yield Absorb(idle)
+        elif kind == "wake":
+            rid = self.sleeper_ids.get(op[1])
+            if rid is not None and not self.world.robots[rid].awake:
+                yield Move(self.world.robots[rid].position)
+                yield from self.look(proc)
+                if not self.world.robots[rid].awake:
+                    child = None if op[2] is None else self.script(op[2])
+                    yield Wake(rid, child)
+        elif kind == "fork":
+            ids = proc.robot_ids
+            if len(ids) > 1:
+                yield Fork([((ids[-1],), self.script(op[1]))])
+        elif kind == "cohort":
+            yield from self.cohort(proc, PALETTE[op[1]])
+
+    def cohort(self, proc, target):
+        """Split the team; every member makes the same Move at the same
+        instant, meets at a barrier, and the leader absorbs the rest."""
+        ids = proc.robot_ids
+        if len(ids) < 2:
+            return
+        key = ("cohort", next(self.keys))
+        parties = len(ids)
+
+        def member(child):
+            yield Move(target)
+            yield from self.look(child)
+            yield Barrier(key, parties)
+            yield from self.look(child)
+
+        yield Fork([((rid,), member) for rid in ids[1:]])
+        yield Move(target)
+        yield from self.look(proc)
+        yield Barrier(key, parties)
+        yield Wait(1.0)
+        idle = self.idle_here(proc)
+        if idle:
+            yield Absorb(idle)
+
+
+SIGNED_ZERO_TEAMS = [
+    # Two teams one sign of zero apart make the same Move at t=1; the
+    # third Looks at that start instant and at the arrival instant t=3.
+    (2, 1, [("until", 1.0), ("move", 3)]),
+    (1, 1, [("until", 1.0), ("move", 3)]),
+    (5, 1, [("until", 1.0), ("until", 3.0)]),
+]
+
+
+class TestLookOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sleepers=st.lists(st.integers(0, len(SLEEPER_SPOTS) - 1), max_size=6),
+        team_specs=st.lists(teams, min_size=1, max_size=5),
+        crowd=st.sampled_from([0, 0, _MOVER_INDEX_ON + 4]),
+        crash=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+    )
+    @example(sleepers=[], team_specs=SIGNED_ZERO_TEAMS, crowd=0, crash=0.0)
+    @example(  # a sleeper joins the team that woke it, after a Look there
+        sleepers=[0, 3],
+        team_specs=[(0, 1, [("wake", 0, None), ("wake", 3, [("until", 2.0)])])],
+        crowd=0,
+        crash=0.0,
+    )
+    @example(
+        sleepers=[0, 1, 2],
+        team_specs=[
+            (9, 3, [("cohort", 2), ("wake", 1, None), ("stay", 0.0), ("absorb",)]),
+            (2, 2, [("fork", [("until", 2.0)]), ("until", 4.0), ("nudge",), ("absorb",)]),
+            (1, 2, [("fork", [("sweep", 2, 7, 4)]), ("path", 0, 4)]),
+            (4, 1, [("wake", 0, [("until", 3.0)]), ("wake", 2, None)]),
+        ],
+        crowd=_MOVER_INDEX_ON + 4,
+        crash=0.5,
+    )
+    def test_every_look_matches_the_oracle(self, sleepers, team_specs, crowd, crash):
+        config = WorldConfig(crash_on_wake=crash, failure_seed=3)
+        run = Run(sorted(set(sleepers)), team_specs, crowd, config)
+        run.check()
+        assert run.looks > 0
+
+    def test_signed_zero_teams_keep_their_own_bits(self):
+        """A Look at the start instant of two Moves that differ only in
+        the sign of a zero reports each team at its own ``-0.0``/``0.0``."""
+        run = Run([], SIGNED_ZERO_TEAMS, 0, WorldConfig())
+        starts = run.world.robots[2].position, run.world.robots[1].position
+        assert [p[0].hex() for p in starts] == ["-0x0.0p+0", "0x0.0p+0"]
+        run.check()
+
+    def test_crowd_engages_the_mover_index(self):
+        run = Run([], [(0, 1, [("until", 1.0)])], _MOVER_INDEX_ON + 4, WorldConfig())
+        run.engine.run(until=0.5)
+        assert run.engine._movers is not None
+        run.check()
+
+    def test_crashed_idle_robots_are_seen_where_they_fell(self):
+        run = Run(
+            [0, 5],
+            [(0, 1, [("wake", 5, [("until", 2.0)]), ("wake", 0, None), ("until", 2.0)])],
+            0,
+            WorldConfig(crash_on_wake=1.0),
+        )
+        run.check()
+        assert all(
+            run.world.robots[rid].crashed for rid in run.sleeper_ids.values()
+        )
