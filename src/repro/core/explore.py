@@ -14,13 +14,16 @@ between each pair of neighbours).  The per-stop walk materializes it as
 points; the frontier-batched walk never does — it describes each
 stretch between hot stops as a :class:`~repro.sim.Sweep` over an index
 range of the lattice, which the engine charges from the memoized hops.
+A team whose strips are all cold needs no snapshot at all: its whole
+exploration is one :class:`~repro.sim.TeamSweep`, one run per strip.
 
 Implemented as engine program fragments (``yield from``-able generators):
 
 * :func:`exploration_stops` — the snapshot lattice for one rectangle, as
   points;
 * :func:`explore_rect` — single-robot (or whole-process) exploration;
-* :func:`explore_rect_team` — the fork / explore / barrier / absorb cycle.
+* :func:`explore_rect_team` — one team sweep for a cold team, else the
+  fork / explore / barrier / absorb cycle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Any, Dict, Generator, Iterator
 
-from ..geometry import Point, Rect
+from ..geometry import EPS, Point, Rect
 from ..sim import (
     Absorb,
     Barrier,
@@ -42,6 +45,7 @@ from ..sim import (
     Result,
     Snapshot,
     Sweep,
+    TeamSweep,
     Wait,
 )
 from ..sim.actions import Action
@@ -200,9 +204,7 @@ def explore_rect(
     """
     report = ExplorationReport()
     if frontier is not None:
-        xs = _axis_stops(rect.xmin, rect.xmax)
-        ys = _axis_stops(rect.ymin, rect.ymax)
-        run = Sweep(xs, ys, 0, len(xs) * len(ys), arrive_at)
+        run = _lattice_run(rect, arrive_at)
         if _sweep_admissible(proc, run):
             yield from _explore_batched(proc, run, frontier, report)
             return report
@@ -215,8 +217,16 @@ def explore_rect(
     return report
 
 
-def _sweep_admissible(proc: ProcessView, run: Sweep) -> bool:
-    """Whether the whole walk clears every robot's remaining budget.
+def _lattice_run(rect: Rect, arrive_at: Point | None) -> Sweep:
+    """One run over the whole snapshot lattice of ``rect``, then to
+    ``arrive_at`` when given."""
+    xs = _axis_stops(rect.xmin, rect.xmax)
+    ys = _axis_stops(rect.ymin, rect.ymax)
+    return Sweep(xs, ys, 0, len(xs) * len(ys), arrive_at)
+
+
+def _sweep_admissible(proc: ProcessView, *runs: Sweep) -> bool:
+    """Whether each walk, from here, clears every robot's remaining budget.
 
     Sweeping must never move the point (or simulation time) at which an
     :class:`~repro.sim.errors.EnergyBudgetExceeded` fires; when the walk
@@ -226,9 +236,12 @@ def _sweep_admissible(proc: ProcessView, run: Sweep) -> bool:
     remaining = proc.min_remaining_budget
     if remaining == math.inf:
         return True
-    # Sequential sum, as the per-stop walk adds it (never fsum / sum).
-    total = reduce(add, run.segment_lengths(proc.position), 0.0)
-    return total < remaining - 1e-6
+    origin = proc.position
+    # Sequential sums, as the per-stop walk adds them (never fsum / sum).
+    return all(
+        reduce(add, run.segment_lengths(origin), 0.0) < remaining - 1e-6
+        for run in runs
+    )
 
 
 def _explore_batched(
@@ -292,7 +305,63 @@ def explore_rect_team(
     the caller absorbs its teammates back.  Returns the merged report.
     ``frontier`` enables the batched walk on every strip (see
     :func:`explore_rect`).
+
+    When no strip's lattice can see a sleeper and the whole team clears
+    its budget with the longest strip, the forked walks would each be one
+    cold :class:`~repro.sim.Sweep` and report nothing: the team then
+    yields one :class:`~repro.sim.TeamSweep` of those runs instead, which
+    the engine runs as the fork path observably (same odometers, arrival
+    times, positions for observers and resume instant) in one event.
     """
+    k = proc.team_size
+    if k > 1 and frontier is not None:
+        runs = _cold_strip_runs(proc, rect.split_rows(k), meet_at, frontier)
+        if runs is not None:
+            yield TeamSweep(runs)
+            # The children's empty reports, merged: the planned stops.
+            return ExplorationReport(snapshots=sum(run.stop for run in runs))
+    report = yield from _explore_rect_team_forked(
+        proc, rect, meet_at, barrier_key, frontier
+    )
+    return report
+
+
+def _cold_strip_runs(
+    proc: ProcessView,
+    strips: list[Rect],
+    meet_at: Point,
+    frontier: "FrontierIndex",
+) -> list[Sweep] | None:
+    """One whole-lattice run to ``meet_at`` per strip, or None when a
+    strip may need a Look or a forked walk could differ from its run.
+
+    A strip needs no Look when its lattice bounds miss the frontier
+    (:func:`_hot_stops`'s early exit).  A forked walk is exactly its run
+    when the run clears the budget (:func:`_sweep_admissible`) and takes
+    time: a zero-length run would complete at the issue instant.
+    """
+    runs = []
+    origin = proc.position
+    for strip in strips:
+        run = _lattice_run(strip, meet_at)
+        cols, rows = run.xs.stops, run.ys.stops
+        if frontier.rect_overlaps(cols[0], rows[0], cols[-1], rows[-1]):
+            return None
+        # Only a one-stop lattice can be walked without moving.
+        if run.stop == 1 and max(run.segment_lengths(origin)) <= EPS:
+            return None
+        runs.append(run)
+    return runs if _sweep_admissible(proc, *runs) else None
+
+
+def _explore_rect_team_forked(
+    proc: ProcessView,
+    rect: Rect,
+    meet_at: Point,
+    barrier_key: Any,
+    frontier: "FrontierIndex | None" = None,
+) -> Generator[Action, Result, ExplorationReport]:
+    """:func:`explore_rect_team` by fork, strip walks, barrier and absorb."""
     k = proc.team_size
     if k == 1:
         report = yield from explore_rect(

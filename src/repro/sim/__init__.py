@@ -32,6 +32,7 @@ from .actions import (
     RobotView,
     Snapshot,
     Sweep,
+    TeamSweep,
     Wait,
     WaitUntil,
     Wake,
@@ -64,6 +65,7 @@ __all__ = [
     "MovePath",
     "LatticeAxis",
     "Sweep",
+    "TeamSweep",
     "Program",
     "Result",
     "RobotView",

@@ -8,7 +8,9 @@ co-located robots.  Each of those capabilities maps to one action below.
 Two further actions — :class:`Fork` and :class:`Absorb` — implement the
 paper's team splits and rendezvous merges at the process granularity (see
 DESIGN.md §3), and :class:`Barrier` realizes "wait until the four teams can
-merge and share their variables".
+merge and share their variables".  :class:`TeamSweep` is the split, the
+per-robot walks and the regroup in one action, for a team exploration
+that needs no snapshot on the way.
 
 A program is a generator yielding actions; every ``yield`` evaluates to a
 :class:`Result` carrying the simulation time at completion plus the
@@ -20,6 +22,7 @@ Time cost of each action:
 Move       Euclidean length of the segment
 MovePath   total polyline length
 Sweep      total lattice-run length (single engine event)
+TeamSweep  the longest member's run at its robot's speed (one event)
 Wait       the requested duration
 WaitUntil  ``max(0, t - now)``
 Look       0 (discrete snapshot)
@@ -48,6 +51,7 @@ __all__ = [
     "MovePath",
     "LatticeAxis",
     "Sweep",
+    "TeamSweep",
     "Wait",
     "WaitUntil",
     "Look",
@@ -235,6 +239,33 @@ class Sweep(Action):
             xmin, ymin = min(xmin, tail[0]), min(ymin, tail[1])
             xmax, ymax = max(xmax, tail[0]), max(ymax, tail[1])
         return xmin, ymin, xmax, ymax
+
+
+@dataclass(frozen=True)
+class TeamSweep(Action):
+    """Every owned robot walks its own lattice run; the team regroups where
+    the runs end, as ONE engine event.
+
+    ``runs`` holds one :class:`Sweep` per owned robot, in ``robot_ids``
+    order, all walked from the process's position and all ending at the
+    same point.  Each robot is charged its own run exactly as a lone
+    :class:`Sweep` at its own speed would charge it, and observers see it
+    where that sweep would put it.  The process resumes at the last
+    arrival, at the meeting point, with every robot still owned.
+
+    Observationally equivalent to forking one process per robot, sweeping
+    each run, meeting at a :class:`Barrier`, waiting ``0`` and absorbing
+    the team back — the fork path of
+    :func:`repro.core.explore.explore_rect_team` — minus the process
+    starts, barrier releases and absorbs.  It has the same issue-time
+    budget asymmetry as :class:`Sweep`, so ``explore_rect_team`` only
+    issues it for a team that clears its budget with every run.
+    """
+
+    runs: tuple[Sweep, ...]
+
+    def __init__(self, runs: Sequence[Sweep]) -> None:
+        object.__setattr__(self, "runs", tuple(runs))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,13 @@ trajectory.  A *site* holds everything stationary at one exact point
 (processes and idle robots, with a cached view tuple); a *convoy* holds the
 processes in flight on one identical straight segment.  A Look tests one
 distance per site and interpolates once per convoy, however large the
-cohorts.  All of it is observationally invisible: traces, makespans and
-cache keys are pinned byte-identical by ``tests/sim/test_golden_trace.py``,
-and every Look is checked against a brute-force oracle by
-``tests/sim/test_look_oracle.py``.
+cohorts.  A :class:`~repro.sim.actions.TeamSweep` puts each robot of a
+team in flight as a generator-less stand-in process on its own run, for one
+queue event per team.  None of it changes what a robot sees or when:
+makespans, energies, cache keys and traces are pinned by
+``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only lacks the
+process bookkeeping of the fork path it replaces), and every Look is
+checked against a brute-force oracle by ``tests/sim/test_look_oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Dict, Generator, Sequence
 
@@ -71,6 +74,7 @@ from .actions import (
     RobotView,
     Snapshot,
     Sweep,
+    TeamSweep,
     Wait,
     WaitUntil,
     Wake,
@@ -118,12 +122,13 @@ class _Process:
         "motion_end",
         "motion_path",
         "motion_ends",
+        "flight",
     )
 
     def __init__(
         self,
         pid: int,
-        generator: Generator[Action, Result, None],
+        generator: Generator[Action, Result, None] | None,
         robot_ids: list[int],
         position: Point,
         speed: float,
@@ -132,7 +137,7 @@ class _Process:
         self.generator = generator
         self.robot_ids = robot_ids
         self.position = position
-        self.state = "ready"  # ready | moving | waiting | barrier | done
+        self.state = "ready"  # ready | moving | team | waiting | barrier | done
         self.started = False
         #: Cached team speed: the slowest member (the team moves together).
         #: Maintained on every membership change instead of rescanned per
@@ -163,6 +168,22 @@ class _Process:
         # segment mode.
         self.motion_path: Sweep | None = None
         self.motion_ends: list[float] | None = None
+        #: While a TeamSweep is in flight: one generator-less stand-in per
+        #: robot, each sweeping its own run in its own convoy.
+        self.flight: list[_Process] | None = None
+
+    def start_sweep(
+        self, origin: Point, now: float, run: Sweep, target: Point, ends: list[float]
+    ) -> None:
+        """Put the process in flight on ``run`` from ``origin`` at ``now``,
+        reaching ``target`` at ``ends[-1]`` (``ends``: per-segment ends)."""
+        self.state = "moving"
+        self.motion_from = origin
+        self.motion_start = now
+        self.motion_to = target
+        self.motion_end = ends[-1]
+        self.motion_path = run
+        self.motion_ends = ends
 
     def position_at(self, time: float) -> Point:
         """Interpolated position at ``time`` (the Move-chain value)."""
@@ -425,10 +446,11 @@ class Engine:
             proc = processes.get(pid)
             if proc is None or proc.state == "done":
                 continue
-            if type(value.value) is _SegmentCont:
-                # Intermediate polyline waypoint: sync position, start the
-                # next segment — the generator is not resumed yet.  (Robot
-                # records are synced lazily — see _finish.)
+            if type(value.value) is _Step:
+                # An engine-internal step (the next polyline segment, a
+                # team landing): sync position, take the step — the
+                # generator is not resumed yet.  (Robot records are synced
+                # lazily — see _finish.)
                 if proc.motion_to is not None:
                     proc.position = proc.motion_to
                 value.value.advance()
@@ -578,38 +600,15 @@ class Engine:
         # accumulation, same interpolated positions for observers — but
         # the queue sees a single event at the final arrival, and no
         # per-stop object is built.
-        start, stop = action.start, action.stop
-        if not 0 <= start <= stop <= len(action.xs) * len(action.ys):
-            raise ProtocolError(f"sweep range {start}..{stop} off its lattice")
-        count = len(action)
-        if not count:
-            raise ProtocolError("empty sweep")
+        count = _check_run(action)
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
         position = proc.position
-        speed = proc.speed
         now = self.now
         lengths = action.segment_lengths(position)
-        if any(robot.budget != math.inf for robot in team):
-            ends = _charge_bounded(team, lengths, now, speed)
-        else:
-            # The check can never fire against an infinite budget, so the
-            # charge runs at C speed.  Lattice hops exceed EPS; only the
-            # first and tail hops can be Move's zero-length teleports (no
-            # odometer charge, no elapsed time), and charging those as
-            # 0.0 leaves every sum bit-identical (x + 0.0 == x).
-            charged = lengths
-            if lengths[0] <= EPS or lengths[-1] <= EPS:
-                charged = [length if length > EPS else 0.0 for length in lengths]
-            for robot in team:
-                robot.odometer = reduce(add, charged, robot.odometer)
-            if speed != 1.0:
-                charged = [length / speed for length in charged]
-            ends = list(itertools.accumulate(charged, initial=now))
-            del ends[0]
+        ends = _charge_run(team, lengths, now, proc.speed)
         t = ends[-1]
-        last = action.waypoint(count - 1)
-        target = last if type(last) is Point else Point(*last)
+        target = _run_end(action, count)
         if t <= now:
             # Degenerate all-tiny sweep: complete immediately, like a
             # zero-length move.
@@ -619,13 +618,7 @@ class Engine:
             return None
         self._unpark(proc)
         self._look_cache.clear()
-        proc.state = "moving"
-        proc.motion_from = position
-        proc.motion_start = now
-        proc.motion_to = target
-        proc.motion_end = t
-        proc.motion_path = action
-        proc.motion_ends = ends
+        proc.start_sweep(position, now, action, target, ends)
         # A sweep rides alone: its convoy is keyed by the process itself.
         self._join_convoy(proc, proc)
         self._schedule(t, proc.pid, Result(t, None))
@@ -639,6 +632,79 @@ class Engine:
                 },
             )
         return None
+
+    def _handle_teamsweep(self, proc: _Process, action: TeamSweep) -> None:
+        # The fork path of a team exploration that needs no Look — one
+        # child process per robot sweeping its own run, a barrier where
+        # the runs end, then ``Wait(0.0)`` and an absorb — as one event.
+        # Each robot is charged its run at its own speed, as its child
+        # would be, and rides its own convoy as a stand-in process (no
+        # generator, not in ``_processes``), so Look finds it where it
+        # would find the child.
+        runs = action.runs
+        ids = proc.robot_ids
+        if len(runs) != len(ids):
+            raise ProtocolError(
+                f"team sweep has {len(runs)} runs for {len(ids)} robots"
+            )
+        counts = [_check_run(run) for run in runs]
+        targets = [_run_end(run, count) for run, count in zip(runs, counts)]
+        meet = targets[0]
+        if any(target != meet for target in targets):
+            raise ProtocolError("team sweep runs must end at one point")
+        robots = self.world.robots
+        position = proc.position
+        now = self.now
+        trace = self.trace
+        flight: list[_Process] = []
+        last = now
+        for rid, run, count, target in zip(ids, runs, counts, targets):
+            robot = robots[rid]
+            lengths = run.segment_lengths(position)
+            ends = _charge_run([robot], lengths, now, robot.speed)
+            member = _Process(proc.pid, None, [rid], position, robot.speed)
+            member.start_sweep(position, now, run, target, ends)
+            flight.append(member)
+            if ends[-1] > last:
+                last = ends[-1]
+            if trace.enabled:
+                trace.append(
+                    now, "sweep", proc.pid,
+                    {
+                        "length": reduce(add, lengths, 0.0), "to": target,
+                        "waypoints": count, "robots": 1,
+                    },
+                )
+        self._unpark(proc)
+        self._look_cache.clear()
+        for member in flight:
+            self._join_convoy(member, member)
+        proc.state = "team"
+        proc.flight = flight
+        self._schedule(last, proc.pid, Result(last, _Step(partial(self._land_team, proc))))
+        return None
+
+    def _land_team(self, proc: _Process) -> None:
+        """The last robot of a team sweep arrived: regroup where the runs end."""
+        flight = proc.flight
+        proc.flight = None
+        for member in flight:
+            self._leave_convoy(member)
+        position = proc.position = flight[0].motion_to
+        robots = self.world.robots
+        for rid in proc.robot_ids:
+            robots[rid].position = position
+        self._park(proc)
+        self._look_cache.clear()
+        proc.state = "waiting"
+        # Resume after the fork path's two same-instant hops — the barrier
+        # release, then explore_rect_team's Wait(0.0) — so that events at
+        # this instant interleave with the program exactly as they would.
+        now = self.now
+        pid = proc.pid
+        self._schedule(
+            now, pid, Result(now, _Step(partial(self._schedule, now, pid, Result(now, None))))
+        )
 
     def _handle_wait(self, proc: _Process, action: Wait) -> None:
         if action.duration < -EPS:
@@ -733,11 +799,11 @@ class Engine:
     def _make_idle(self, rid: int, point: Point) -> None:
         """Park an awake robot that no live process owns at ``point``."""
         site = self._idle[rid] = self._site_at(point)
-        site.idle.append(RobotView(rid, point, True))
+        site.idle[rid] = RobotView(rid, point, True)
 
     def _unidle(self, rid: int) -> None:
         site = self._idle.pop(rid)
-        site.idle = [view for view in site.idle if view.robot_id != rid]
+        del site.idle[rid]
         self._drop_from_site(site)
 
     def _join_convoy(self, proc: _Process, key: Any) -> None:
@@ -862,7 +928,7 @@ class Engine:
             self._note_segment(proc, target)
             if segments:
                 self._schedule(
-                    proc.motion_end, proc.pid, Result(proc.motion_end, _SegmentCont(advance))
+                    proc.motion_end, proc.pid, Result(proc.motion_end, _Step(advance))
                 )
             else:
                 self._schedule(proc.motion_end, proc.pid, Result(proc.motion_end, None))
@@ -1194,8 +1260,9 @@ class Engine:
         )
 
 
-class _SegmentCont:
-    """Queue value signalling 'advance to the next polyline segment'."""
+class _Step:
+    """Queue value for an engine-internal step — the next polyline segment,
+    a team landing or a hop — taken without resuming the generator."""
 
     __slots__ = ("advance",)
 
@@ -1218,7 +1285,9 @@ class _Site:
     def __init__(self, point: Point) -> None:
         self.point = point
         self.procs: list[_Process] = []
-        self.idle: list[RobotView] = []  # an idle robot's view never changes
+        # Idle robots by id (an idle robot's view never changes); insertion
+        # order is parking order, and removing one is O(1).
+        self.idle: dict[int, RobotView] = {}
         self.views: tuple[RobotView, ...] | None = None
 
     def build_views(self) -> tuple[RobotView, ...]:
@@ -1227,7 +1296,7 @@ class _Site:
             for proc in self.procs
             for rid in proc.robot_ids
         ]
-        views += self.idle
+        views += self.idle.values()
         return tuple(views)
 
 
@@ -1346,13 +1415,47 @@ def _segment_bbox(
     )
 
 
-def _charge_bounded(team: list, lengths: list[float], now: float, speed: float) -> list[float]:
-    """Charge a sweep's segments to budget-bound robots, one at a time.
+def _check_run(run: Sweep) -> int:
+    """A run's waypoint count, once its range is checked against its lattice."""
+    start, stop = run.start, run.stop
+    if not 0 <= start <= stop <= len(run.xs) * len(run.ys):
+        raise ProtocolError(f"sweep range {start}..{stop} off its lattice")
+    count = len(run)
+    if not count:
+        raise ProtocolError("empty sweep")
+    return count
 
-    The Move-chain order exactly: each segment's budget check precedes
-    its charge, so an overrun raises with the odometer of the segments
-    before it already charged.  Returns the per-segment arrival times.
+
+def _run_end(run: Sweep, count: int) -> Point:
+    """The last of a run's ``count`` waypoints, as a Point."""
+    last = run.waypoint(count - 1)
+    return last if type(last) is Point else Point(*last)
+
+
+def _charge_run(team: list, lengths: list[float], now: float, speed: float) -> list[float]:
+    """Charge a run's segments to ``team`` moving at ``speed`` from ``now``.
+
+    Exactly what a chain of Moves charges, in the same float-op order.
+    Returns the per-segment arrival times.
     """
+    if all(robot.budget == math.inf for robot in team):
+        # The check can never fire against an infinite budget, so the
+        # charge runs at C speed.  Lattice hops exceed EPS; only the
+        # first and tail hops can be Move's zero-length teleports (no
+        # odometer charge, no elapsed time), and charging those as 0.0
+        # leaves every sum bit-identical (x + 0.0 == x).
+        charged = lengths
+        if lengths[0] <= EPS or lengths[-1] <= EPS:
+            charged = [length if length > EPS else 0.0 for length in lengths]
+        for robot in team:
+            robot.odometer = reduce(add, charged, robot.odometer)
+        if speed != 1.0:
+            charged = [length / speed for length in charged]
+        ends = list(itertools.accumulate(charged, initial=now))
+        del ends[0]
+        return ends
+    # Budget-bound: each segment's budget check precedes its charge, so an
+    # overrun raises with the odometer of the segments before it charged.
     t = now
     ends: list[float] = []
     for length in lengths:
@@ -1396,6 +1499,7 @@ _HANDLERS: dict[type, Callable[[Engine, _Process, Any], Result | None]] = {
     Move: Engine._handle_move,
     MovePath: Engine._handle_movepath,
     Sweep: Engine._handle_sweep,
+    TeamSweep: Engine._handle_teamsweep,
     Wait: Engine._handle_wait,
     WaitUntil: Engine._handle_waituntil,
     Look: Engine._do_look,

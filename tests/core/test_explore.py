@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -15,8 +15,19 @@ from repro.core import (
     explore_rect,
     explore_rect_team,
 )
-from repro.geometry import Point, Rect, distance, frontier_for
-from repro.sim import Engine, Look, SOURCE_ID, Sweep, World
+from repro.core.explore import _explore_rect_team_forked
+from repro.geometry import EPS, Point, Rect, distance, frontier_for
+from repro.sim import (
+    Engine,
+    EnergyBudgetExceeded,
+    Look,
+    SOURCE_ID,
+    Sweep,
+    Trace,
+    Wait,
+    WaitUntil,
+    World,
+)
 
 dims = st.floats(0.5, 20.0)
 
@@ -243,3 +254,196 @@ class TestReportMerge:
         every_asleep = set().union(*(asleep for asleep, _ in sightings))
         assert set(merged.awake) == every_awake
         assert set(merged.sleeping) == every_asleep - every_awake
+
+
+def strip_walks(rect, origin, meet_at, speeds):
+    """Per strip: the walker's arrival time and distance, Move by Move."""
+    walks = []
+    for strip, speed in zip(rect.split_rows(len(speeds)), speeds):
+        t, total, prev = 0.0, 0.0, origin
+        for waypoint in exploration_stops(strip) + [meet_at]:
+            length = math.hypot(prev[0] - waypoint[0], prev[1] - waypoint[1])
+            total += length
+            if length > EPS:
+                t = t + length / speed
+            prev = waypoint
+        walks.append((t, total))
+    return walks
+
+
+def observed(snapshot):
+    return snapshot.time.hex(), [
+        (v.robot_id, v.awake, v.position[0].hex(), v.position[1].hex())
+        for v in snapshot.robots
+    ]
+
+
+@st.composite
+def team_cases(draw):
+    """A rectangle, a team of 2..12 around it and the meeting point."""
+    w, h = draw(st.floats(0.5, 12.0)), draw(st.floats(0.5, 12.0))
+    k = draw(st.integers(2, 12))
+    near = st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
+    (ox, oy), (mx, my) = draw(near), draw(near)
+    speeds = draw(st.lists(st.sampled_from([1.0, 1.0, 0.7, 0.3]), min_size=k, max_size=k))
+    # None: an unbounded robot; a float: a budget this far above the
+    # longest strip walk, so the whole team clears it.
+    margins = draw(
+        st.lists(st.one_of(st.none(), st.floats(0.01, 5.0)), min_size=k, max_size=k)
+    )
+    return Rect(0, 0, w, h), Point(ox * w, oy * h), Point(mx * w, my * h), speeds, margins
+
+
+class TestTeamSweep:
+    """A cold team exploration is one ``TeamSweep``, observably its fork path."""
+
+    @staticmethod
+    def _explore(explore, rect, origin, meet_at, speeds, margins, sleepers, fractions):
+        """Run ``explore`` beside two observers; return what everyone saw.
+
+        One observer stands by the meeting point and Looks at every
+        member's arrival, then three times at the release instant across
+        its same-instant hops; the other stands in the rectangle and Looks
+        mid-flight.
+        """
+        k = len(speeds)
+        team = list(range(k))
+        by_meet, inside = k, k + 1
+        world = World(
+            source=origin,
+            positions=[origin] * (k - 1)
+            + [Point(meet_at[0] + 0.3, meet_at[1] - 0.4), rect.center]
+            + list(sleepers),
+        )
+        for rid in team[1:] + [by_meet, inside]:
+            world.mark_awake(rid, 0.0, None)
+        walks = strip_walks(rect, origin, meet_at, speeds)
+        longest = max(total for _, total in walks)
+        for rid, speed, margin in zip(team, speeds, margins):
+            world.robots[rid].speed = speed
+            if margin is not None:
+                world.robots[rid].budget = longest + margin
+        arrivals = sorted({t for t, _ in walks})
+        release = arrivals[-1]
+        frontier = frontier_for(list(sleepers), world.visibility_radius)
+        trace = Trace()
+        engine = Engine(world, trace=trace)
+        out = {"seen": []}
+        seen = out["seen"]
+
+        def leader(proc):
+            report = yield from explore(proc, rect, meet_at, ("team", 0), frontier)
+            out.update(
+                time=proc.time.hex(), report=report, robots=proc.robot_ids,
+                position=proc.position,
+            )
+            seen.append(("leader", observed((yield Look()).value)))
+
+        def watch(name, times, repeat):
+            def program(proc):
+                for t in times:
+                    yield WaitUntil(t)
+                    seen.append((name, observed((yield Look()).value)))
+                for _ in range(repeat):
+                    yield Wait(0.0)
+                    seen.append((name, observed((yield Look()).value)))
+
+            return program
+
+        engine.spawn(leader, team)
+        engine.spawn(watch("meet", arrivals, 2), [by_meet])
+        engine.spawn(watch("inside", sorted({f * release for f in fractions}), 0), [inside])
+        result = engine.run()
+        out.update(
+            odometers=[world.robots[rid].odometer.hex() for rid in team],
+            positions=[world.robots[rid].position for rid in team],
+            events=result.events_processed,
+            forks=len(trace.of_kind("fork")),
+            zero_walk=any(t == 0.0 for t, _ in walks),
+        )
+        return out
+
+    def _assert_same(self, collapsed, forked):
+        for key in ("odometers", "positions", "report", "time", "robots", "position", "seen"):
+            assert collapsed[key] == forked[key], key
+        assert forked["forks"] == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=team_cases(),
+        fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+    )
+    @example(  # the middle strip is one stop where the team stands and meets
+        case=(Rect(0, 0, 1.0, 1.0), Point(0.5, 0.5), Point(0.5, 0.5), [1.0] * 3, [None] * 3),
+        fractions=[0.5],
+    )
+    @example(  # slow robots, mixed budgets, a meeting point off the rectangle
+        case=(
+            Rect(0, 0, 9.0, 7.0), Point(0.0, 0.0), Point(10.0, 3.0),
+            [1.0, 0.3, 0.7, 1.0, 0.3], [None, 0.01, 2.0, None, 0.5],
+        ),
+        fractions=[0.2, 0.6],
+    )
+    def test_cold_team_is_one_event_with_fork_path_observables(self, case, fractions):
+        rect, origin, meet_at, speeds, margins = case
+        # A sleeper far from every strip: the frontier is not empty, just cold.
+        sleepers = [Point(rect.xmax + 40.0, rect.ymax + 40.0)]
+        args = (rect, origin, meet_at, speeds, margins, sleepers, fractions)
+        collapsed = self._explore(explore_rect_team, *args)
+        forked = self._explore(_explore_rect_team_forked, *args)
+        self._assert_same(collapsed, forked)
+        # A strip walked in zero time would end at the issue instant, so
+        # such a team keeps the fork path; every other cold team collapses.
+        assert collapsed["forks"] == int(forked["zero_walk"])
+        if not forked["zero_walk"]:
+            assert collapsed["events"] < forked["events"]
+        assert collapsed["report"].snapshots == sum(
+            len(exploration_stops(strip)) for strip in rect.split_rows(len(speeds))
+        )
+
+    @staticmethod
+    def _overrun(explore):
+        """The top strip's robot cannot finish its walk, though the team
+        minimum clears the bottom strip; returns where the run aborts."""
+        rect, origin = Rect(0, 0, 8.0, 6.0), Point(0.0, 0.0)
+        walks = strip_walks(rect, origin, rect.center, [1.0, 1.0, 1.0])
+        world = World(source=origin, positions=[origin, origin])
+        for rid in (1, 2):
+            world.mark_awake(rid, 0.0, None)
+        world.robots[2].budget = walks[2][1] - 1.0
+        assert walks[0][1] < world.robots[2].budget
+        trace = Trace()
+        engine = Engine(world, trace=trace)
+
+        def leader(proc):
+            yield from explore(proc, rect, rect.center, ("team", 0), frontier_for([], 1.0))
+
+        engine.spawn(leader, [0, 1, 2])
+        with pytest.raises(EnergyBudgetExceeded) as err:
+            engine.run()
+        error = err.value
+        return (
+            error.robot_id, error.attempted.hex(), error.budget.hex(),
+            engine.now.hex(), len(trace.of_kind("fork")),
+        )
+
+    def test_budget_that_runs_out_keeps_the_fork_path(self):
+        """The overrun aborts mid-walk, where the fork path's per-stop
+        fallback aborts, not at the issue instant."""
+        collapsed = self._overrun(explore_rect_team)
+        assert collapsed == self._overrun(_explore_rect_team_forked)
+        assert collapsed[0] == 2 and collapsed[-1] == 1
+        assert float.fromhex(collapsed[3]) > 0.0
+
+    def test_sleeper_beside_one_strip_keeps_the_fork_path(self):
+        rect = Rect(0, 0, 8.0, 6.0)
+        # Within sight of the top strip's stop at (2, 5.5) only.
+        sleepers = [Point(2.0, 6.2)]
+        args = (rect, Point(0.0, 0.0), rect.center, [1.0, 0.7, 1.0], [None] * 3, sleepers, [0.5])
+        collapsed = self._explore(explore_rect_team, *args)
+        forked = self._explore(_explore_rect_team_forked, *args)
+        self._assert_same(collapsed, forked)
+        assert collapsed["forks"] == 1
+        assert collapsed["events"] == forked["events"]
+        # Ids: the team 0..2, the two observers, then the sleeper.
+        assert list(collapsed["report"].sleeping) == [5]

@@ -52,7 +52,11 @@ GOLDEN_RUNS = [
     # sparse-wave-frontier rewrite) — proving the differential-testing
     # reference IS the old algorithm.  The frontier ``awave`` pins the same
     # makespan and energy (the equivalence contract) under its own, far
-    # smaller, trace.
+    # smaller, trace.  Its digest was regenerated when a cold team
+    # exploration became one ``TeamSweep``: the dropped entries are exactly
+    # the fork, barrier, absorb and child process start/end entries of
+    # those explorations, and the ordered wake/look/move/phase stream and
+    # the multiset of sweep (time, length, waypoints) entries are unchanged.
     (
         "legacy_awave", "uniform_disk", {"n": 50, "rho": 10.0, "seed": 2}, {"ell": 2},
         "10da75eecbbbf0b477cead29fddbc71128227a7acb2b94b1eb20153bd7252a18",
@@ -60,7 +64,7 @@ GOLDEN_RUNS = [
     ),
     (
         "awave", "uniform_disk", {"n": 50, "rho": 10.0, "seed": 2}, {"ell": 2},
-        "5701947159f1d6739a9d5f0dc0859fc70f779a07a083a540be06fd2447f3aafc",
+        "2381879e3eee967200b51f1f4f45bab5370c4ea9509f68d0690a19882d4a4c26",
         1020.9923200513895, 716525.0280188909,
     ),
 ]

@@ -2,13 +2,15 @@
 
 A snapshot must list exactly the robots within ``radius + EPS`` of the
 observer: each live process's robots at its ``position_at(now)``, each
-idle robot at its parked position, each sleeper at its home.  The oracle
-compares ids, awake flags and coordinate bits (``float.hex``, so ``-0.0``
-and ``0.0`` differ).  The programs are random scripts over every action
-the engine knows, run by many processes at once, so whatever grouping
-the engine keeps for Look (points shared by stationary teams and idle
-robots, segments shared by movers, the vectorized mover index) is
-checked against the world state it stands for.
+idle robot at its parked position, each sleeper at its home.  A team in a
+``TeamSweep`` is placed robot by robot from the runs its script issued,
+walked as a chain of Moves.  The oracle compares ids, awake flags and
+coordinate bits (``float.hex``, so ``-0.0`` and ``0.0`` differ).  The
+programs are random scripts over every action the engine knows, run by
+many processes at once, so whatever grouping the engine keeps for Look
+(points shared by stationary teams and idle robots, segments shared by
+movers, a team sweep's stand-ins, the vectorized mover index) is checked
+against the world state it stands for.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from repro.sim import (
     Move,
     MovePath,
     Sweep,
+    TeamSweep,
     Wait,
     WaitUntil,
     Wake,
@@ -81,6 +84,17 @@ leaf_ops = st.one_of(
         st.integers(1, LATTICE),
         st.one_of(st.none(), spot),
     ),
+    # Every robot of the team walks its own range (ranges repeat when the
+    # team outnumbers them), and all meet at the tail.
+    st.tuples(
+        st.just("team"),
+        st.lists(
+            st.tuples(st.integers(0, LATTICE - 1), st.integers(1, LATTICE)),
+            min_size=1,
+            max_size=3,
+        ),
+        spot,
+    ),
     st.tuples(st.just("until"), st.integers(0, 8).map(float)),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.0])),
     st.tuples(st.just("absorb")),
@@ -108,8 +122,43 @@ def observed(snapshot):
     ]
 
 
-def oracle(engine, world, center):
-    """The snapshot at ``center``, from the world's ground truth alone."""
+def chain_at(origin, waypoints, speed, start, now):
+    """Where a chain of Moves from ``origin`` through ``waypoints``, issued
+    at ``start``, stands at ``now``.
+
+    Times add up Move by Move; a hop of at most ``EPS`` is a teleport that
+    takes no time.  As a ``Sweep`` reports it, the walker is at its origin
+    up to the issue instant, at its last waypoint from its arrival on, and
+    at a waypoint at the instant it reaches it.
+    """
+    legs, t, prev = [], start, origin
+    for waypoint in waypoints:
+        length = math.hypot(prev[0] - waypoint[0], prev[1] - waypoint[1])
+        if length > EPS:
+            end = t + length / speed
+            legs.append((t, end, prev, waypoint))
+            t = end
+        prev = waypoint
+    if now >= t:
+        return waypoints[-1]
+    if now <= start:
+        return origin
+    for begin, end, a, b in legs:
+        if now == end:
+            return b
+        if now < end:
+            f = (now - begin) / (end - begin)
+            return Point(a[0] + (b[0] - a[0]) * f, a[1] + (b[1] - a[1]) * f)
+    raise AssertionError("unreachable: now precedes the arrival")
+
+
+def oracle(engine, world, center, flights):
+    """The snapshot at ``center``, from the world's ground truth alone.
+
+    ``flights`` maps the pid of each team in a ``TeamSweep`` to what its
+    script issued: the issue time, the origin and, per robot, its speed
+    and the waypoints of its run.
+    """
     limit = world.visibility_radius + EPS
     now = engine.now
     seen = []
@@ -120,9 +169,15 @@ def oracle(engine, world, center):
             seen.append((rid, awake, pos[0].hex(), pos[1].hex()))
 
     for proc in engine._processes.values():
+        owned.update(proc.robot_ids)
+        flight = flights.get(proc.pid)
+        if flight is not None:
+            start, origin, members = flight
+            for rid, speed, waypoints in members:
+                visible(chain_at(origin, waypoints, speed, start, now), rid, True)
+            continue
         pos = proc.position_at(now)
         for rid in proc.robot_ids:
-            owned.add(rid)
             visible(pos, rid, True)
     for rid, robot in world.robots.items():
         if rid not in owned:
@@ -133,7 +188,7 @@ def oracle(engine, world, center):
 class Run:
     """One random multi-process run whose every Look is oracle-checked."""
 
-    def __init__(self, sleepers, team_specs, crowd, config):
+    def __init__(self, sleepers, team_specs, crowd, config, slow=()):
         homes = [PALETTE[at] for at, size, _ in team_specs for _ in range(size)]
         crowd_homes = [Point(-2.0 + 0.125 * j, 0.25) for j in range(crowd)]
         self.world = World(
@@ -147,6 +202,8 @@ class Run:
         }
         self.keys = itertools.count()
         self.looks = 0
+        self.snapshots = []
+        self.flights = {}
         self.engine.spawn(self.script([("until", 1.0), ("move", 3)]), [SOURCE_ID])
         rid = 1
         for _at, size, ops in team_specs:
@@ -154,6 +211,8 @@ class Run:
             rid += size
             for r in ids:
                 self.world.mark_awake(r, 0.0, None)
+                if r in slow:
+                    self.world.robots[r].speed = 0.5
             self.engine.spawn(self.script(ops), ids)
         for j in range(crowd):
             # Distinct segments, all moving at once: more concurrent movers
@@ -181,9 +240,10 @@ class Run:
 
     def look(self, proc):
         snapshot = (yield Look()).value
+        self.snapshots.append(snapshot)
         assert snapshot.observer == proc.position
         assert observed(snapshot) == oracle(
-            self.engine, self.world, snapshot.observer
+            self.engine, self.world, snapshot.observer, self.flights
         )
         self.looks += 1
 
@@ -213,6 +273,8 @@ class Run:
             start, stop, tail = op[1], max(op[1], op[2]), op[3]
             if start < stop or tail is not None:
                 yield Sweep(XS, YS, start, stop, None if tail is None else PALETTE[tail])
+        elif kind == "team":
+            yield from self.team(proc, op[1], PALETTE[op[2]])
         elif kind == "until":
             yield WaitUntil(op[1])
         elif kind == "wait":
@@ -235,6 +297,20 @@ class Run:
                 yield Fork([((ids[-1],), self.script(op[1]))])
         elif kind == "cohort":
             yield from self.cohort(proc, PALETTE[op[1]])
+
+    def team(self, proc, ranges, tail):
+        """One TeamSweep: robot ``i`` walks ``ranges[i % len(ranges)]``."""
+        runs, members = [], []
+        for i, rid in enumerate(proc.robot_ids):
+            start, stop = ranges[i % len(ranges)]
+            run = Sweep(XS, YS, start, max(start, stop), tail)
+            runs.append(run)
+            waypoints = [Point(*run.waypoint(j)) for j in range(len(run))]
+            members.append((rid, self.world.robots[rid].speed, waypoints))
+        self.flights[proc.pid] = (proc.time, proc.position, members)
+        yield TeamSweep(runs)
+        del self.flights[proc.pid]
+        assert proc.position == tail
 
     def cohort(self, proc, target):
         """Split the team; every member makes the same Move at the same
@@ -270,6 +346,20 @@ SIGNED_ZERO_TEAMS = [
 ]
 
 
+TEAM_SWEEP_WATCH = [
+    # Robots 1 and 2 leave (0, 0) at t=1, each through (0, -0.5) to meet
+    # at (2, 1): robot 1 arrives at t=4, slow robot 2 at t=7, the release.
+    (0, 2, [("until", 1.0), ("team", [(0, 1)], 3)]),
+    # Looks at the issue instant (from the team's origin), then from the
+    # meeting point at robot 1's arrival, between the two arrivals, and
+    # three times at the release instant, after the landing event.
+    (0, 1, [("until", 1.0), ("move", 3), ("until", 4.0), ("until", 6.0),
+            ("until", 7.0), ("wait", 0.0), ("wait", 0.0)]),
+    # Three Looks at the release instant, the first before the landing.
+    (3, 1, [("until", 7.0), ("wait", 0.0), ("wait", 0.0)]),
+]
+
+
 class TestLookOracle:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -277,13 +367,22 @@ class TestLookOracle:
         team_specs=st.lists(teams, min_size=1, max_size=5),
         crowd=st.sampled_from([0, 0, _MOVER_INDEX_ON + 4]),
         crash=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+        slow=st.sets(st.integers(1, 8), max_size=3),
     )
-    @example(sleepers=[], team_specs=SIGNED_ZERO_TEAMS, crowd=0, crash=0.0)
+    @example(sleepers=[], team_specs=SIGNED_ZERO_TEAMS, crowd=0, crash=0.0, slow=set())
     @example(  # a sleeper joins the team that woke it, after a Look there
         sleepers=[0, 3],
         team_specs=[(0, 1, [("wake", 0, None), ("wake", 3, [("until", 2.0)])])],
         crowd=0,
         crash=0.0,
+        slow=set(),
+    )
+    @example(  # Looks at a team sweep's issue instant, arrivals and release
+        sleepers=[],
+        team_specs=TEAM_SWEEP_WATCH,
+        crowd=0,
+        crash=0.0,
+        slow={2},
     )
     @example(
         sleepers=[0, 1, 2],
@@ -295,10 +394,11 @@ class TestLookOracle:
         ],
         crowd=_MOVER_INDEX_ON + 4,
         crash=0.5,
+        slow=set(),
     )
-    def test_every_look_matches_the_oracle(self, sleepers, team_specs, crowd, crash):
+    def test_every_look_matches_the_oracle(self, sleepers, team_specs, crowd, crash, slow):
         config = WorldConfig(crash_on_wake=crash, failure_seed=3)
-        run = Run(sorted(set(sleepers)), team_specs, crowd, config)
+        run = Run(sorted(set(sleepers)), team_specs, crowd, config, slow)
         run.check()
         assert run.looks > 0
 
@@ -327,3 +427,29 @@ class TestLookOracle:
         assert all(
             run.world.robots[rid].crashed for rid in run.sleeper_ids.values()
         )
+
+    def test_team_sweep_is_seen_at_issue_arrival_and_release(self):
+        """The watch example lands its Looks where it claims to."""
+        run = Run([], TEAM_SWEEP_WATCH, 0, WorldConfig(), slow={2})
+        run.check()
+        team = {1, 2}
+
+        def sightings(time):
+            return [
+                {v.robot_id: v.position for v in snap.robots if v.robot_id in team}
+                for snap in run.snapshots
+                if snap.time == time
+            ]
+
+        meet = PALETTE[3]
+        # Issue instant: both robots still at the origin.
+        assert {1: Point(0.0, 0.0), 2: Point(0.0, 0.0)} in sightings(1.0)
+        # Between the arrivals: robot 1 waits at the meeting point while
+        # slow robot 2 is 0.8 of the way along its tail.
+        (between,) = sightings(6.0)
+        assert between[1] == meet
+        assert close_to(between[2], Point(1.6, 0.7), 1e-12)
+        # Release instant: the watchers' six Looks, each of the whole team.
+        watchers = [seen for seen in sightings(7.0) if len(seen) == 2]
+        assert len(watchers) >= 6
+        assert all(seen == {1: meet, 2: meet} for seen in watchers)

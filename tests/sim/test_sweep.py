@@ -23,6 +23,7 @@ from repro.sim import (
     Look,
     Move,
     Sweep,
+    TeamSweep,
     Wait,
     WaitUntil,
     World,
@@ -173,6 +174,25 @@ class TestSweepEdges:
         result, _ = run_single(run, team=(SOURCE_ID, 1))
         assert result.total_energy == 10.0
         assert result.max_energy == 5.0
+
+    def test_team_sweep_needs_one_run_per_robot(self):
+        with pytest.raises(ProtocolError):
+            run_single(TeamSweep([RUN]), team=(SOURCE_ID, 1))
+
+    def test_team_sweep_runs_must_meet(self):
+        apart = Sweep(XS, YS, 0, 2, Point(1.0, 3.0))
+        with pytest.raises(ProtocolError):
+            run_single(TeamSweep([RUN, apart]), team=(SOURCE_ID, 1))
+
+    def test_team_sweep_is_one_event_per_team(self):
+        """Both robots walk their own run; the team resumes once, at the
+        later arrival, after two same-instant hops."""
+        short = Sweep(XS, YS, 0, 1, RUN.arrive_at)
+        result, seen = run_single(TeamSweep([RUN, short]), team=(SOURCE_ID, 1))
+        walked = [sum(run.segment_lengths(Point(0, 0))) for run in (RUN, short)]
+        assert result.events_processed == 1 + 1 + 2
+        assert seen["time"] == pytest.approx(max(walked))
+        assert result.total_energy == pytest.approx(sum(walked))
 
     def test_axis_rejects_coincident_stops(self):
         with pytest.raises(ValueError):
