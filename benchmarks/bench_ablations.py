@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md §5, "additional ablations").
+"""Design-choice ablations (``repro.experiments.ablations``).
 
 * distribution gap — the measurable price of the discovery problem;
 * centralized-solver choice inside ``ASeparator`` terminations;

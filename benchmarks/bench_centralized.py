@@ -1,8 +1,8 @@
 """LEM2 + solver ablation — centralized wake-up schedules.
 
-Lemma 2 needs a centralized schedule with makespan ``O(R)``; DESIGN.md
-substitution #1 replaces [BCGH24]'s ``5*sqrt(2)*R'`` by the quadtree
-strategy (certified ``8*sqrt(2)*R``).  This bench measures the actual
+Lemma 2 needs a centralized schedule with makespan ``O(R)``; this
+implementation replaces [BCGH24]'s ``5*sqrt(2)*R'`` by the quadtree
+strategy of ``repro.centralized.quadtree`` (certified ``8*sqrt(2)*R``).  This bench measures the actual
 constant and compares the shipped solvers (ablation: quadtree vs greedy vs
 chain vs exact-on-micro-instances).
 """

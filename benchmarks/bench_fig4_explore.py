@@ -1,8 +1,8 @@
 """FIG4 / LEM1 — the exploration procedure and its ``O(wh/k + w + h)`` time.
 
 Reproduces Figure 4's two panels as measurements: (a) the single-robot
-boustrophedon, (b) the ``k``-strip team split, including the snapshot
-spacing ablation DESIGN.md calls out.
+boustrophedon, (b) the ``k``-strip team split, including an ablation of
+the snapshot spacing.
 """
 
 import math

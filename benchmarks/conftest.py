@@ -1,10 +1,9 @@
 """Benchmark-suite configuration.
 
-Every module here reproduces one table row or figure of the paper
-(DESIGN.md §5).  Simulations are deterministic and heavy, so benchmarks
-run with ``pedantic(rounds=1)`` semantics by default — we measure one
-honest end-to-end execution and print the reproduced rows next to the
-timing.  Run with::
+Every module here reproduces one table row or figure of the paper.
+Simulations are deterministic and heavy, so benchmarks run with
+``pedantic(rounds=1)`` semantics by default — we measure one honest
+end-to-end execution and print the reproduced rows next to the timing.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """

@@ -4,8 +4,9 @@
 The paper's ``Ω(rho + ell^2 log(rho/ell))`` lower bound hides one robot in
 each disk ``D_c`` of an ``ell/2``-grid, at the *last* spot the algorithm
 looks.  This example realizes that adversary against our own ``ASeparator``
-with the two-pass trick (DESIGN.md §4): probe the algorithm on a decoy,
-find each disk's latest-covered point, pin the robots there, re-run.
+with the two-pass trick of ``repro.instances.adversary``: probe the
+algorithm on a decoy, find each disk's latest-covered point, pin the
+robots there, re-run.
 
 It prints the construction's certified properties (Lemma 12 cardinality,
 Lemma 13 connectivity), then decoy vs adversarial makespans against the

@@ -5,7 +5,8 @@ region to a centralized schedule (Lemma 2); this package provides those
 schedules plus baselines used for calibration:
 
 * :func:`quadtree_schedule` — ``O(R)``-makespan guarantee (the Lemma 2
-  workhorse; DESIGN.md substitution #1);
+  workhorse, standing in for [BCGH24]'s algorithm; see
+  :mod:`repro.centralized.quadtree`);
 * :func:`greedy_schedule` — earliest-completion-first heuristic;
 * :func:`exact_schedule` — branch-and-bound optimum for tiny ``n``;
 * :func:`chain_schedule` — no-branching straw man.

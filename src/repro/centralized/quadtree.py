@@ -1,7 +1,7 @@
 """Recursive quadtree wake-up strategy with an ``O(R)`` makespan guarantee.
 
 Stand-in for the [BCGH24] centralized algorithm the paper invokes in
-Lemma 2 (DESIGN.md substitution #1).  Guarantee:
+Lemma 2.  Guarantee:
 
     For any set of sleeping robots inside a square of width ``R`` and a
     waker anywhere in that square, the schedule produced here has makespan

@@ -25,15 +25,17 @@ gives the enforceable per-robot bound.
 from __future__ import annotations
 
 import math
-from typing import Callable, Generator
+from functools import reduce
+from operator import add
+from typing import Callable, Generator, NamedTuple
 
 from ..centralized import QUADTREE_MAKESPAN_FACTOR, quadtree_schedule
 from ..geometry import Point, Rect, close_to, square
-from ..sim import CO_LOCATION_TOL, Annotate, Look, Move, Result, WaitUntil
+from ..sim import CO_LOCATION_TOL, Annotate, Look, Move, Result, Tour, WaitUntil
 from ..sim.actions import Action, Program
 from ..sim.engine import ProcessView
 from ..sim.errors import ProtocolError
-from .explore import SQRT2, exploration_time_bound, explore_rect
+from .explore import BUDGET_MARGIN, SQRT2, exploration_time_bound, explore_rect
 from .wakeup import execute_wake_plan, plan_from_schedule
 
 __all__ = [
@@ -186,15 +188,29 @@ def agrid_program(
     return program
 
 
-#: One cohort's round: the gather ``Move`` to its cell's corner, the round
-#: start and its ``WaitUntil``, then per window the target cell, the
-#: ``Move`` to its corner, the window start and its ``WaitUntil``.
-_Tour = tuple[Move, float, WaitUntil, tuple[tuple[Cell, Move, float, WaitUntil], ...]]
+class _CohortTour(NamedTuple):
+    """One cohort's round, shared by every member's program."""
+
+    #: The ``Move`` to the cell's corner, the round start, its ``WaitUntil``.
+    gather: Move
+    t_round: float
+    wait_round: WaitUntil
+    #: Per window: the target cell, the ``Move`` to its corner, the window
+    #: start and its ``WaitUntil``.
+    windows: tuple[tuple[Cell, Move, float, WaitUntil], ...]
+    #: The windows' ``(Move, WaitUntil)`` legs as one action, for a member
+    #: that only follows.
+    walk: Tour
+    #: Whether every leg of ``walk``, begun at the round start from the
+    #: corner at ``speed_floor``, arrives by its window start.
+    on_time: bool
+    #: ``walk``'s sequential length from the corner.
+    length: float
 
 
 def _cohort_tour(
     grid: CellGrid, ell: int, cell: Cell, k: int, speed_floor: float
-) -> _Tour:
+) -> _CohortTour:
     """The round-``k`` tour of ``cell``'s cohort, built once where the
     cohort forms and shared by every member's program (every member walks
     the same corners at the same window starts)."""
@@ -205,14 +221,26 @@ def _cohort_tour(
         start = agrid_window_start(ell, k, i, speed_floor)
         windows.append((target, Move(grid.rect(target).lower_left), start, WaitUntil(start)))
     gather = Move(grid.rect(cell).lower_left)
-    return gather, t_round, WaitUntil(t_round), tuple(windows)
+    walk = Tour([(move, wait) for _, move, _, wait in windows])
+    lengths = walk.leg_lengths(gather.target)
+    # The walk's timetable at the slowest speed bounds every member's own
+    # (float addition, division and max are monotone), so one check
+    # covers each window's deadline for the whole cohort.
+    arrivals = walk.timetable(lengths, t_round, speed_floor)[::2]
+    on_time = all(
+        arrival <= start + 1e-6 for arrival, (_, _, start, _) in zip(arrivals, windows)
+    )
+    return _CohortTour(
+        gather, t_round, WaitUntil(t_round), tuple(windows),
+        walk, on_time, reduce(add, lengths, 0.0),
+    )
 
 
 def _participant_program(
     grid: CellGrid,
     ell: int,
     k: int,
-    tour: _Tour,
+    tour: _CohortTour,
     cohort: tuple[int, ...],
     my_id: int,
     speed_floor: float,
@@ -231,7 +259,7 @@ def _participate(
     grid: CellGrid,
     ell: int,
     k: int,
-    tour: _Tour,
+    tour: _CohortTour,
     cohort: tuple[int, ...],
     my_id: int,
     speed_floor: float = 1.0,
@@ -239,8 +267,9 @@ def _participate(
 ) -> Generator[Action, Result, None]:
     """Round-``k`` participation for a robot woken in round ``k-1``: walk
     the cohort's ``tour`` of the 8 adjacent cells; the cohort leader
-    explores each."""
-    gather, t_round, wait_round, windows = tour
+    explores each.  A follower that only walks issues the whole walk as
+    one action when :func:`_tour_admissible` allows it."""
+    gather, t_round, wait_round, windows = tour[:4]
     yield gather
     _assert_on_time(proc, t_round, "agrid round start")
     yield wait_round
@@ -263,6 +292,9 @@ def _participate(
         leader = my_id == min(present)
     else:
         leader = my_id == min(cohort)
+    if not leader and _tour_admissible(proc, tour, speed_floor):
+        yield tour.walk
+        return
     for i, (target, move, start, wait) in enumerate(windows, 1):
         yield move
         _assert_on_time(proc, start, f"agrid window {i}")
@@ -309,6 +341,25 @@ def _explore_and_wake_cell(
 
     yield from execute_wake_plan(proc, plan, posmap, my_id=-1, after=after)
     return cohort
+
+
+def _tour_admissible(proc: ProcessView, tour: _CohortTour, speed_floor: float) -> bool:
+    """Whether a follower may walk its windows as the one ``tour.walk``.
+
+    The per-leg loop is the reference: it raises on a late leg and on a
+    budget overrun, where and when it happens.  The walk checks neither,
+    so it is taken only when neither can happen.  It must start at the
+    round start at no less than ``speed_floor``, so the cohort's on-time
+    check covers it (a robot slower than a miscalibrated floor walks
+    leg by leg).  Its length must clear the remaining budget with
+    :data:`~repro.core.explore.BUDGET_MARGIN`, as a batched sweep must.
+    """
+    return (
+        tour.on_time
+        and proc.time <= tour.t_round
+        and proc.speed >= speed_floor
+        and tour.length < proc.min_remaining_budget - BUDGET_MARGIN
+    )
 
 
 def _assert_on_time(proc: ProcessView, deadline: float, label: str) -> None:

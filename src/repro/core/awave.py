@@ -29,8 +29,8 @@ by the separator-seed coverage argument of Lemma 5 — wakes it completely;
 later runs on the same cell are cheap no-ops.  Round 0 is a full
 ``ASeparator`` (with its source-seeded Round 0) scoped to the source cell;
 the source then joins round 1 as an ordinary participant (a deviation that
-closes the boundary edge case where the source cell is otherwise empty —
-see DESIGN.md).
+closes the boundary edge case where the source cell is otherwise empty,
+as :func:`repro.core.agrid.agrid_program`'s source does).
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..geometry import FrontierIndex
 
 __all__ = [
+    "BUDGET_MARGIN",
     "SQRT2",
     "ExplorationReport",
     "exploration_stops",
@@ -64,6 +65,12 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+#: How far under a team's remaining budget a batched walk (a sweep, a team
+#: sweep, a tour) must stay before it is issued as one action: far more
+#: than the rounding between its sequential length and the per-step
+#: charges, so a walk that could overrun takes the per-step path.
+BUDGET_MARGIN = 1e-6
 
 
 @dataclass
@@ -239,7 +246,7 @@ def _sweep_admissible(proc: ProcessView, *runs: Sweep) -> bool:
     origin = proc.position
     # Sequential sums, as the per-stop walk adds them (never fsum / sum).
     return all(
-        reduce(add, run.segment_lengths(origin), 0.0) < remaining - 1e-6
+        reduce(add, run.segment_lengths(origin), 0.0) < remaining - BUDGET_MARGIN
         for run in runs
     )
 

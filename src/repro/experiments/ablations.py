@@ -1,4 +1,4 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""Ablations for this implementation's design choices.
 
 * **Distribution gap** — how much makespan does *not knowing* positions
   cost?  Same instances solved by (i) the clairvoyant centralized quadtree

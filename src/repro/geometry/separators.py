@@ -7,9 +7,9 @@ inside ``S`` to a robot outside contains a robot located in ``sep(S)`` —
 the annulus is too wide (``ell``) for an edge to jump across.  Corollary 2:
 an empty separator means ``P`` lies entirely inside or entirely outside.
 
-For narrow squares (``R <= 2*ell``) the annulus degenerates; following
-DESIGN.md substitution #5 we then take ``sep(S) = S`` so exploration of the
-separator still sees every robot that a crossing path must contain.
+For narrow squares (``R <= 2*ell``) the annulus degenerates; this
+implementation then takes ``sep(S) = S`` so exploration of the separator
+still sees every robot that a crossing path must contain.
 """
 
 from __future__ import annotations

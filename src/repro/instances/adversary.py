@@ -1,4 +1,4 @@
-"""Two-pass adversary realizing the lower-bound placements (DESIGN.md #3).
+"""Two-pass adversary realizing the lower-bound placements.
 
 The proofs of Theorems 2 and 3 place each hidden robot at "the last
 position of its disk to be explored" by the algorithm under attack.

@@ -1,6 +1,7 @@
 """Event-driven simulator of the paper's robot-swarm model.
 
-See DESIGN.md §3 for the model mapping.  Typical usage::
+The model mapping (robot capabilities to actions) is in the
+:mod:`repro.sim.actions` module docstring.  Typical usage::
 
     from repro.sim import Engine, World, Move, Look, Wake
 
@@ -33,6 +34,7 @@ from .actions import (
     Snapshot,
     Sweep,
     TeamSweep,
+    Tour,
     Wait,
     WaitUntil,
     Wake,
@@ -66,6 +68,7 @@ __all__ = [
     "LatticeAxis",
     "Sweep",
     "TeamSweep",
+    "Tour",
     "Program",
     "Result",
     "RobotView",

@@ -6,11 +6,13 @@ The paper's robots follow the Look-Compute-Move model (Section 1.2): they
 sleeping robot while handing it information, and exchange variables with
 co-located robots.  Each of those capabilities maps to one action below.
 Two further actions — :class:`Fork` and :class:`Absorb` — implement the
-paper's team splits and rendezvous merges at the process granularity (see
-DESIGN.md §3), and :class:`Barrier` realizes "wait until the four teams can
-merge and share their variables".  :class:`TeamSweep` is the split, the
-per-robot walks and the regroup in one action, for a team exploration
-that needs no snapshot on the way.
+paper's team splits and rendezvous merges at the process granularity (a
+process is a team of co-located robots moving as one), and
+:class:`Barrier` realizes "wait until the four teams can merge and share
+their variables".  :class:`TeamSweep` is the split, the per-robot walks and
+the regroup in one action, for a team exploration that needs no snapshot
+on the way; :class:`Tour` is a fixed walk of timed legs (move to a corner,
+wait for a window) in one action, for a robot that only follows.
 
 A program is a generator yielding actions; every ``yield`` evaluates to a
 :class:`Result` carrying the simulation time at completion plus the
@@ -23,6 +25,7 @@ Move       Euclidean length of the segment
 MovePath   total polyline length
 Sweep      total lattice-run length (single engine event)
 TeamSweep  the longest member's run at its robot's speed (one event)
+Tour       each leg's length, then its wait (one event)
 Wait       the requested duration
 WaitUntil  ``max(0, t - now)``
 Look       0 (discrete snapshot)
@@ -52,6 +55,7 @@ __all__ = [
     "LatticeAxis",
     "Sweep",
     "TeamSweep",
+    "Tour",
     "Wait",
     "WaitUntil",
     "Look",
@@ -280,6 +284,91 @@ class WaitUntil(Action):
     """Stay put until absolute time ``time`` (no-op if already past)."""
 
     time: float
+
+
+@dataclass(frozen=True, eq=False)
+class Tour(Action):
+    """A fixed walk of ``(Move, WaitUntil)`` legs as ONE engine event.
+
+    Each leg moves the process straight to its corner, then waits there
+    until the leg's time; the process resumes at the last leg's departure.
+    Observationally equivalent to yielding each leg's Move and then its
+    WaitUntil: the same ``math.hypot`` leg lengths, the same per-leg budget
+    checks and odometer charges in the same float order, arrival at
+    ``t + length / speed``, departure at ``max(arrival, wait.time)``, a leg
+    of at most ``EPS`` a teleport as with :class:`Move`, and the same
+    positions for observers (a waiting process is seen on its corner point
+    itself) — minus two queue events per leg.
+
+    A tour compares by identity: processes that issue the same tour object
+    from the same point, at the same instant and speed, fly it as one
+    convoy whose timetable the engine builds once, so a group of walkers
+    (an AGrid cohort) should share one object.
+
+    It has :class:`Sweep`'s issue-time asymmetry (the whole walk is charged
+    when issued, so a budget overrun on a later leg raises at the issue
+    instant) and checks no deadline.  A caller that relies on either must
+    issue a tour only when the walk clears its budget and every leg is on
+    time, and walk the legs one by one otherwise — exactly what
+    :mod:`repro.core.agrid` does.
+    """
+
+    legs: tuple[tuple[Move, WaitUntil], ...]
+
+    def __init__(self, legs: Sequence[tuple[Move, WaitUntil]]) -> None:
+        legs = tuple((move, wait) for move, wait in legs)
+        if not legs:
+            raise ValueError("a tour needs at least one leg")
+        for move, wait in legs:
+            if not isinstance(move, Move) or not isinstance(wait, WaitUntil):
+                raise TypeError("a tour leg is a (Move, WaitUntil) pair")
+        object.__setattr__(self, "legs", legs)
+        #: Leg ``j``'s corner, the end of path segments ``2j`` (the move)
+        #: and ``2j + 1`` (the wait).
+        object.__setattr__(self, "corners", tuple(move.target for move, _ in legs))
+
+    def leg_lengths(self, origin: Point) -> list[float]:
+        """Length of every leg walked from ``origin``, in order: the
+        ``math.hypot`` each leg's :class:`Move` is charged."""
+        lengths: list[float] = []
+        prev = origin
+        for corner in self.corners:
+            lengths.append(math.hypot(prev[0] - corner[0], prev[1] - corner[1]))
+            prev = corner
+        return lengths
+
+    def timetable(
+        self, lengths: Sequence[float], start: float, speed: float
+    ) -> list[float]:
+        """``[arrival_0, departure_0, arrival_1, ...]`` of a walk begun at
+        ``start`` at ``speed`` over legs of the given ``lengths``.
+
+        The Move/WaitUntil chain's arithmetic, float op for float op: a leg
+        longer than ``EPS`` arrives ``length / speed`` after the previous
+        departure (a shorter one is a teleport), and departs at its wait's
+        time or on arrival, whichever is later.
+        """
+        t = start
+        times: list[float] = []
+        for (_, wait), length in zip(self.legs, lengths):
+            if length > EPS:
+                t = t + length / speed
+            times.append(t)
+            if wait.time > t:
+                t = wait.time
+            times.append(t)
+        return times
+
+    def waypoint(self, i: int) -> Point:
+        """End of path segment ``i`` (moves and waits interleaved): the
+        corner of leg ``i // 2``."""
+        return self.corners[i >> 1]
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """``(xmin, ymin, xmax, ymax)`` over the corners."""
+        xs = [corner[0] for corner in self.corners]
+        ys = [corner[1] for corner in self.corners]
+        return min(xs), min(ys), max(xs), max(ys)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Deterministic event-driven engine for the Look-Compute-Move model.
 
 The engine advances a priority queue of timestamped events.  Each *process*
-is a Python generator owning a group of co-located robots (DESIGN.md §3):
+is a Python generator owning a group of co-located robots, a team moving as
+one (:mod:`repro.sim.actions` maps the robots' capabilities to actions):
 resuming the generator yields the next :class:`~repro.sim.actions.Action`,
 whose completion schedules the next resume.  Time-free actions (``Look``,
 ``Wake``, ``Fork``, ``Absorb``, ``Annotate``) are executed synchronously in
@@ -28,11 +29,15 @@ processes in flight on one identical straight segment.  A Look tests one
 distance per site and interpolates once per convoy, however large the
 cohorts.  A :class:`~repro.sim.actions.TeamSweep` puts each robot of a
 team in flight as a generator-less stand-in process on its own run, for one
-queue event per team.  None of it changes what a robot sees or when:
-makespans, energies, cache keys and traces are pinned by
-``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only lacks the
-process bookkeeping of the fork path it replaces), and every Look is
-checked against a brute-force oracle by ``tests/sim/test_look_oracle.py``.
+queue event per team.  A :class:`~repro.sim.actions.Tour` flies a process
+over its legs and waits as one piecewise path, for one queue event per
+walk; the processes that issue one tour object from one point at one
+instant and speed share a convoy and its timetable.  None of it changes
+what a robot sees or when: makespans, energies, cache keys and traces are
+pinned by ``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only
+lacks the process bookkeeping of the fork path it replaces, a Tour's has
+one ``move`` entry for its legs' entries), and every Look is checked
+against a brute-force oracle by ``tests/sim/test_look_oracle.py``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .actions import (
     Snapshot,
     Sweep,
     TeamSweep,
+    Tour,
     Wait,
     WaitUntil,
     Wake,
@@ -161,22 +167,28 @@ class _Process:
         self.motion_start = 0.0
         self.motion_to: Point | None = None
         self.motion_end = 0.0
-        # Piecewise motion state for a Sweep: the lattice run plus the
+        # Piecewise motion state for a Sweep or a Tour: the path plus the
         # parallel per-segment end-time list for bisection (segment ``i``
         # runs waypoint ``i-1`` -> ``i`` over ``ends[i-1]..ends[i]``, with
-        # the origin/start filling in at ``i == 0``).  None while in plain
-        # segment mode.
-        self.motion_path: Sweep | None = None
+        # the origin/start filling in at ``i == 0``; a tour's convoy
+        # shares one list).  None while in plain segment mode.
+        self.motion_path: Sweep | Tour | None = None
         self.motion_ends: list[float] | None = None
         #: While a TeamSweep is in flight: one generator-less stand-in per
         #: robot, each sweeping its own run in its own convoy.
         self.flight: list[_Process] | None = None
 
     def start_sweep(
-        self, origin: Point, now: float, run: Sweep, target: Point, ends: list[float]
+        self,
+        origin: Point,
+        now: float,
+        run: Sweep | Tour,
+        target: Point,
+        ends: list[float],
     ) -> None:
-        """Put the process in flight on ``run`` from ``origin`` at ``now``,
-        reaching ``target`` at ``ends[-1]`` (``ends``: per-segment ends)."""
+        """Put the process in flight on ``run`` (a lattice run or a tour)
+        from ``origin`` at ``now``, reaching ``target`` at ``ends[-1]``
+        (``ends``: per-segment ends)."""
         self.state = "moving"
         self.motion_from = origin
         self.motion_start = now
@@ -228,7 +240,9 @@ class _Process:
             else:
                 seg_start = self.motion_start
                 a = self.motion_from
-            if time <= seg_start:
+            if time <= seg_start or a is b:
+                # ``a is b`` is a tour's wait: the corner itself, so a
+                # signed zero reads as it does on a parked process.
                 return a[0], a[1]
             span = seg_end - seg_start
             t = (time - seg_start) / span if span > 0 else 1.0
@@ -266,6 +280,11 @@ class ProcessView:
     @property
     def team_size(self) -> int:
         return len(self._engine._processes[self.pid].robot_ids)
+
+    @property
+    def speed(self) -> float:
+        """The team's speed: its slowest member's (own state)."""
+        return self._engine._processes[self.pid].speed
 
     @property
     def min_remaining_budget(self) -> float:
@@ -705,6 +724,53 @@ class Engine:
         self._schedule(
             now, pid, Result(now, _Step(partial(self._schedule, now, pid, Result(now, None))))
         )
+
+    def _handle_tour(self, proc: _Process, action: Tour) -> None:
+        # A Move then a WaitUntil per leg, as one event: every leg is
+        # checked and charged now, in the chain's order, and the process
+        # flies the legs and waits as one piecewise path.  Processes that
+        # issue this tour from this point at this instant and speed would
+        # walk bit-identical timetables, so they share a convoy and its
+        # list of segment ends.
+        robots = self.world.robots
+        team = [robots[rid] for rid in proc.robot_ids]
+        position = proc.position
+        now = self.now
+        lengths = action.leg_lengths(position)
+        _charge_checked(team, lengths)
+        key = _tour_key(action, position, now, proc.speed)
+        convoy = self._convoys.get(key)
+        if convoy is None:
+            ends = action.timetable(lengths, now, proc.speed)
+        else:
+            ends = convoy.members[0].motion_ends
+        t = ends[-1]
+        target = action.corners[-1]
+        if t <= now:
+            # Teleports and past waits only: complete at once, like a
+            # zero-length move.
+            self._reposition(proc, target)
+            self._schedule(now, proc.pid, Result(now, None))
+            proc.state = "waiting"
+            return None
+        self._unpark(proc)
+        self._look_cache.clear()
+        proc.start_sweep(position, now, action, target, ends)
+        self._join_convoy(proc, key)
+        self._schedule(t, proc.pid, Result(t, None))
+        trace = self.trace
+        if trace.enabled:
+            # One entry for the legs' Move entries: only real legs charge.
+            walked = [length for length in lengths if length > EPS]
+            if walked:
+                trace.append(
+                    now, "move", proc.pid,
+                    {
+                        "length": reduce(add, walked, 0.0), "to": target,
+                        "waypoints": len(lengths), "robots": len(team),
+                    },
+                )
+        return None
 
     def _handle_wait(self, proc: _Process, action: Wait) -> None:
         if action.duration < -EPS:
@@ -1301,7 +1367,8 @@ class _Site:
 
 
 class _Convoy:
-    """Processes in flight on one identical straight segment, or one sweep.
+    """Processes in flight on one identical straight segment, one sweep,
+    or one tour from one point at one instant and speed.
 
     Members interpolate bit-identically (see :func:`_segment_key`), so a
     Look interpolates the first member once for all of them.
@@ -1326,6 +1393,19 @@ class _Convoy:
                 bbox = _segment_bbox(lead.motion_from, lead.motion_to, radius)
             self.bbox = bbox
         return bbox
+
+
+def _tour_key(tour: Tour, origin: Point, start: float, speed: float) -> tuple:
+    """Convoy key of ``tour`` flown from ``origin`` at ``start``, ``speed``.
+
+    A tour compares by identity; as in :func:`_segment_key`, a zero
+    coordinate of the origin (reported at the start instant) keys on its
+    sign.
+    """
+    if 0.0 in origin:
+        signs = math.copysign(1.0, origin[0]), math.copysign(1.0, origin[1])
+        return tour, origin, start, speed, signs
+    return tour, origin, start, speed
 
 
 def _segment_key(a: Point, b: Point, start: float, end: float) -> tuple:
@@ -1454,10 +1534,21 @@ def _charge_run(team: list, lengths: list[float], now: float, speed: float) -> l
         ends = list(itertools.accumulate(charged, initial=now))
         del ends[0]
         return ends
-    # Budget-bound: each segment's budget check precedes its charge, so an
-    # overrun raises with the odometer of the segments before it charged.
+    # Budget-bound: the Move chain's check-then-charge, then the times.
+    _charge_checked(team, lengths)
     t = now
     ends: list[float] = []
+    for length in lengths:
+        if length > EPS:
+            t = t + length / speed
+        ends.append(t)
+    return ends
+
+
+def _charge_checked(team: list, lengths: Sequence[float]) -> None:
+    """Charge ``lengths`` to ``team`` as a chain of Moves does: each
+    segment's budget check precedes its charge, so an overrun raises with
+    the odometer of the segments before it charged."""
     for length in lengths:
         for robot in team:
             if robot.odometer + length > robot.budget + 1e-9:
@@ -1467,18 +1558,16 @@ def _charge_run(team: list, lengths: list[float], now: float, speed: float) -> l
         if length > EPS:
             for robot in team:
                 robot.odometer += length
-            t = t + length / speed
-        ends.append(t)
-    return ends
 
 
 def _run_bbox(
-    origin: Point, run: Sweep, radius: float
+    origin: Point, run: Sweep | Tour, radius: float
 ) -> tuple[float, float, float, float]:
-    """Axis bounds of a whole lattice run expanded by the visibility radius.
+    """Axis bounds of a whole lattice run or tour expanded by the
+    visibility radius.
 
-    A boustrophedon sweep wanders far outside the bbox of its endpoints,
-    so a mover bbox for a :class:`Sweep` must cover every waypoint.  The
+    A boustrophedon sweep (or a tour) wanders far outside the bbox of its
+    endpoints, so its mover bbox must cover every waypoint.  The
     padded superset only admits *candidates* — observers re-check exact
     interpolated distances — so a looser box is safe, never wrong.
     """
@@ -1500,6 +1589,7 @@ _HANDLERS: dict[type, Callable[[Engine, _Process, Any], Result | None]] = {
     MovePath: Engine._handle_movepath,
     Sweep: Engine._handle_sweep,
     TeamSweep: Engine._handle_teamsweep,
+    Tour: Engine._handle_tour,
     Wait: Engine._handle_wait,
     WaitUntil: Engine._handle_waituntil,
     Look: Engine._do_look,

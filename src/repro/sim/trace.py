@@ -27,8 +27,9 @@ class TraceEvent(NamedTuple):
     """
 
     time: float
-    kind: str           # 'wake' | 'move' | 'look' | 'fork' | 'barrier' |
-                        # 'absorb' | 'process_start' | 'process_end' | 'phase'
+    kind: str           # 'wake' | 'move' | 'sweep' | 'look' | 'fork' |
+                        # 'barrier' | 'absorb' | 'crash' | 'process_start' |
+                        # 'process_end' | 'phase'
     process_id: int
     data: dict[str, Any] = _EMPTY_DATA
 

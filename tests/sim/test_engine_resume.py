@@ -4,12 +4,18 @@ Regression for the pushed-back event bug: pausing used to re-queue the
 first beyond-``until`` event with a *fresh* sequence number, letting an
 equal-time event that was scheduled later overtake it after the resume.
 A paused-and-resumed execution must replay the identical trace of an
-uninterrupted run.
+uninterrupted run — also when a pause lands inside a motion the engine
+flies as one event (a ``Sweep``, a ``TeamSweep``, a ``Tour``).
 """
+
+import hashlib
+import json
 
 import pytest
 
+from repro.core.registry import get_algorithm
 from repro.geometry import Point
+from repro.instances import uniform_disk
 from repro.sim import SOURCE_ID, Annotate, Engine, Trace, Wait, WaitUntil, Wake, World
 
 
@@ -71,3 +77,78 @@ def test_pause_is_observable_midway():
     assert partial.awake_count == 2
     final = engine.run()
     assert final.termination_time == pytest.approx(6.0)
+
+
+# -- pauses inside one-event motions -------------------------------------------
+
+
+def _digest(trace):
+    payload = [
+        [e.time, e.kind, e.process_id, dict(sorted(e.data.items()))]
+        for e in trace.events
+    ]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _in_flight(engine):
+    """The one-event motions in flight right now, by kind."""
+    kinds = set()
+    for proc in engine._processes.values():
+        if proc.flight is not None:
+            kinds.add("TeamSweep")
+        elif proc.state == "moving" and proc.motion_path is not None:
+            kinds.add(type(proc.motion_path).__name__)
+    return kinds
+
+
+def _run_algorithm(algorithm, instance, params, stops=()):
+    """Run ``algorithm`` with a ``run(until=...)`` pause at each of
+    ``stops`` (ascending); returns the observables and what the pauses
+    caught in flight."""
+    spec = get_algorithm(algorithm)
+    setup = spec.build(instance, spec.validate_params(params))
+    trace = Trace(keep_looks=True)
+    engine = Engine(instance.world(budget=setup.budget), trace=trace)
+    engine.spawn(setup.program, [SOURCE_ID])
+    caught = set()
+    for until in stops:
+        engine.run(until=until)
+        caught |= _in_flight(engine)
+    result = engine.run()
+    observed = (
+        _digest(trace), result.makespan, result.total_energy, result.termination_time,
+    )
+    return observed, caught
+
+
+#: ``(algorithm, instance, params, stops)``: each stop lands inside the
+#: one-event motion it names, whatever pauses are spread around it.
+_MOTION_RUNS = [
+    # AWave's frontier walk: the source's first lattice run flies over
+    # [0, 21.04]; the first cold team explorations over [30213, 30647].
+    (
+        "awave", uniform_disk(n=50, rho=10.0, seed=2), {"ell": 2},
+        {10.0: "Sweep", 30400.0: "TeamSweep"},
+    ),
+    # AGrid (ell=4, window W ~ 261.3): round 1's followers fly their eight
+    # windows as one Tour over [W, 9 W].
+    ("agrid", uniform_disk(n=40, rho=8.0, seed=7), {}, {400.0: "Tour", 1500.0: "Tour"}),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm,instance,params,landmarks", _MOTION_RUNS, ids=[r[0] for r in _MOTION_RUNS]
+)
+@pytest.mark.parametrize("pauses", [0, 4, 41])
+def test_pauses_inside_one_event_motions_replay_the_run(
+    algorithm, instance, params, landmarks, pauses
+):
+    baseline, _ = _run_algorithm(algorithm, instance, params)
+    end = baseline[-1]
+    spread = {end * k / (pauses + 1) for k in range(1, pauses + 1)}
+    paused, caught = _run_algorithm(
+        algorithm, instance, params, sorted(spread | set(landmarks))
+    )
+    assert paused == baseline
+    assert set(landmarks.values()) <= caught

@@ -4,17 +4,20 @@ A snapshot must list exactly the robots within ``radius + EPS`` of the
 observer: each live process's robots at its ``position_at(now)``, each
 idle robot at its parked position, each sleeper at its home.  A team in a
 ``TeamSweep`` is placed robot by robot from the runs its script issued,
-walked as a chain of Moves.  The oracle compares ids, awake flags and
-coordinate bits (``float.hex``, so ``-0.0`` and ``0.0`` differ).  The
-programs are random scripts over every action the engine knows, run by
-many processes at once, so whatever grouping the engine keeps for Look
-(points shared by stationary teams and idle robots, segments shared by
-movers, a team sweep's stand-ins, the vectorized mover index) is checked
-against the world state it stands for.
+walked as a chain of Moves, and a process on a ``Tour`` from its legs,
+walked as a chain of Moves and WaitUntils.  The oracle compares ids,
+awake flags and coordinate bits (``float.hex``, so ``-0.0`` and ``0.0``
+differ).  The programs are random scripts over every action the engine
+knows, run by many processes at once, so whatever grouping the engine
+keeps for Look (points shared by stationary teams and idle robots,
+segments shared by movers, a team sweep's stand-ins, tours flown as one
+convoy, the vectorized mover index) is checked against the world state it
+stands for.
 """
 
 import itertools
 import math
+from functools import partial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,7 @@ from repro.sim import (
     MovePath,
     Sweep,
     TeamSweep,
+    Tour,
     Wait,
     WaitUntil,
     Wake,
@@ -95,6 +99,11 @@ leaf_ops = st.one_of(
         ),
         spot,
     ),
+    # A tour's legs: a corner and the whole time to wait there until.
+    st.tuples(
+        st.just("tour"),
+        st.lists(st.tuples(spot, st.integers(0, 8).map(float)), min_size=1, max_size=4),
+    ),
     st.tuples(st.just("until"), st.integers(0, 8).map(float)),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.0])),
     st.tuples(st.just("absorb")),
@@ -108,6 +117,11 @@ team_ops = st.one_of(
         st.one_of(st.none(), leaf_scripts),
     ),
     st.tuples(st.just("cohort"), spot),
+    # The whole team splits and every member issues one tour object.
+    st.tuples(
+        st.just("convoy"),
+        st.lists(st.tuples(spot, st.integers(0, 8).map(float)), min_size=1, max_size=3),
+    ),
     st.tuples(st.just("fork"), leaf_scripts),
 )
 teams = st.tuples(
@@ -152,12 +166,43 @@ def chain_at(origin, waypoints, speed, start, now):
     raise AssertionError("unreachable: now precedes the arrival")
 
 
+def tour_at(origin, legs, speed, start, now):
+    """Where a walker of ``legs`` (``(corner, until)`` pairs) from
+    ``origin``, issued at ``start``, stands at ``now``.
+
+    Each leg is a Move (a hop of at most ``EPS`` is a teleport that takes
+    no time) and then a WaitUntil.  As a ``Tour`` reports it, the walker
+    is at its last corner from its last departure on, at its origin up to
+    the issue instant, and otherwise at a corner from its arrival there
+    through its departure, so a teleport shows only after the instant it
+    happens.
+    """
+    t, prev, path = start, origin, []
+    for corner, until in legs:
+        length = math.hypot(prev[0] - corner[0], prev[1] - corner[1])
+        arrival = t + length / speed if length > EPS else t
+        departure = max(arrival, until)
+        path.append((t, arrival, departure, prev, corner))
+        t, prev = departure, corner
+    if now >= t:
+        return prev
+    if now <= start:
+        return origin
+    for leave, arrival, departure, a, b in path:
+        if now < arrival:
+            f = (now - leave) / (arrival - leave)
+            return Point(a[0] + (b[0] - a[0]) * f, a[1] + (b[1] - a[1]) * f)
+        if now <= departure:
+            return b
+    return prev
+
+
 def oracle(engine, world, center, flights):
     """The snapshot at ``center``, from the world's ground truth alone.
 
-    ``flights`` maps the pid of each team in a ``TeamSweep`` to what its
-    script issued: the issue time, the origin and, per robot, its speed
-    and the waypoints of its run.
+    ``flights`` maps the pid of each process in a ``TeamSweep`` or a
+    ``Tour`` to its robots, each with a function of the time that walks
+    the run or tour its script issued, as a chain.
     """
     limit = world.visibility_radius + EPS
     now = engine.now
@@ -172,9 +217,8 @@ def oracle(engine, world, center, flights):
         owned.update(proc.robot_ids)
         flight = flights.get(proc.pid)
         if flight is not None:
-            start, origin, members = flight
-            for rid, speed, waypoints in members:
-                visible(chain_at(origin, waypoints, speed, start, now), rid, True)
+            for rid, walker in flight:
+                visible(walker(now), rid, True)
             continue
         pos = proc.position_at(now)
         for rid in proc.robot_ids:
@@ -297,6 +341,47 @@ class Run:
                 yield Fork([((ids[-1],), self.script(op[1]))])
         elif kind == "cohort":
             yield from self.cohort(proc, PALETTE[op[1]])
+        elif kind == "tour":
+            yield from self.tour(proc, self.make_tour(op[1]))
+        elif kind == "convoy":
+            yield from self.convoy(proc, self.make_tour(op[1]))
+
+    @staticmethod
+    def make_tour(legs):
+        return Tour([(Move(PALETTE[at]), WaitUntil(until)) for at, until in legs])
+
+    def tour(self, proc, tour):
+        """Issue ``tour``; the oracle walks its legs as a chain."""
+        legs = [(move.target, wait.time) for move, wait in tour.legs]
+        walker = partial(tour_at, proc.position, legs, proc.speed, proc.time)
+        self.flights[proc.pid] = [(rid, walker) for rid in proc.robot_ids]
+        yield tour
+        del self.flights[proc.pid]
+        assert proc.position == legs[-1][0]
+
+    def convoy(self, proc, tour):
+        """Split the team; every member issues the same tour object at
+        the same instant, meets at its last corner, and the leader absorbs
+        the rest."""
+        ids = proc.robot_ids
+        if len(ids) < 2:
+            return
+        key = ("convoy", next(self.keys))
+        parties = len(ids)
+
+        def member(child):
+            yield from self.tour(child, tour)
+            yield from self.look(child)
+            yield Barrier(key, parties)
+
+        yield Fork([((rid,), member) for rid in ids[1:]])
+        yield from self.tour(proc, tour)
+        yield from self.look(proc)
+        yield Barrier(key, parties)
+        yield Wait(1.0)
+        idle = self.idle_here(proc)
+        if idle:
+            yield Absorb(idle)
 
     def team(self, proc, ranges, tail):
         """One TeamSweep: robot ``i`` walks ``ranges[i % len(ranges)]``."""
@@ -306,8 +391,11 @@ class Run:
             run = Sweep(XS, YS, start, max(start, stop), tail)
             runs.append(run)
             waypoints = [Point(*run.waypoint(j)) for j in range(len(run))]
-            members.append((rid, self.world.robots[rid].speed, waypoints))
-        self.flights[proc.pid] = (proc.time, proc.position, members)
+            walker = partial(
+                chain_at, proc.position, waypoints, self.world.robots[rid].speed, proc.time
+            )
+            members.append((rid, walker))
+        self.flights[proc.pid] = members
         yield TeamSweep(runs)
         del self.flights[proc.pid]
         assert proc.position == tail
@@ -360,6 +448,20 @@ TEAM_SWEEP_WATCH = [
 ]
 
 
+TOUR_WATCH = [
+    # Robots 1-3 split at t=1 and each issue one tour: to (2, 1), due at
+    # t=2 but reached later, then to (1, 1) until t=6; slow robot 2 is
+    # late on both legs.
+    (0, 3, [("until", 1.0), ("convoy", [(3, 2.0), (5, 6.0)])]),
+    # Robot 4 teleports between (0, 1) and its -0.0 twin, waiting on each.
+    (2, 1, [("tour", [(1, 4.0), (2, 5.0), (1, 8.0)])]),
+    # Looks at the split, on the first arrival, mid-wait, at the second
+    # arrival and departure, and while the -0.0 twin waits.
+    (5, 1, [("until", 1.0), ("until", 3.0), ("until", 4.5), ("until", 5.0),
+            ("until", 6.0), ("wait", 0.0), ("until", 7.0), ("until", 7.5)]),
+]
+
+
 class TestLookOracle:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -395,6 +497,13 @@ class TestLookOracle:
         crowd=_MOVER_INDEX_ON + 4,
         crash=0.5,
         slow=set(),
+    )
+    @example(  # a convoy of one tour object, late legs, -0.0 teleports
+        sleepers=[],
+        team_specs=TOUR_WATCH,
+        crowd=0,
+        crash=0.0,
+        slow={2},
     )
     def test_every_look_matches_the_oracle(self, sleepers, team_specs, crowd, crash, slow):
         config = WorldConfig(crash_on_wake=crash, failure_seed=3)
