@@ -18,7 +18,6 @@ pre-PR 4 default) on the record so both paths are watched.
 
 from repro.experiments.bench import (
     run_move_look_cycle,
-    run_polyline,
     run_wake_heavy,
 )
 from repro.sim import NullTrace, Trace
@@ -46,19 +45,6 @@ def test_bench_wake_heavy(benchmark):
     """Time waking 1000 robots through a chain of join-team wakes."""
     events = benchmark.pedantic(
         lambda: run_wake_heavy(trace=NullTrace()),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    assert events > 0
-
-
-def test_bench_polyline(benchmark):
-    """Long MovePath polylines: per-segment stepping must stay O(1).
-
-    Regression guard for the old ``segments.pop(0)`` walk, which made a
-    k-waypoint path O(k^2).
-    """
-    events = benchmark.pedantic(
-        lambda: run_polyline(trace=NullTrace()),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert events > 0

@@ -38,10 +38,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Generator
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None
+import numpy as _np
 
 from ..geometry import close_to
 from ..sim import Absorb, Annotate, Look, Move, Result, Wait, WaitUntil
@@ -141,18 +138,11 @@ def awave_schedule(
         return [], []
     W = awave_window(ell)
     w = W / speed_floor
-    if _np is not None:
-        r = _np.arange(1, max_round + 1, dtype=_np.float64)
-        rounds_arr = w + (r - 1.0) * 9.0 * w
-        i = _np.arange(1, 9, dtype=_np.float64)
-        windows_arr = rounds_arr[:, None] + (i[None, :] * W) / speed_floor
-        return rounds_arr.tolist(), windows_arr.tolist()
-    rounds = [w + (r - 1) * 9.0 * w for r in range(1, max_round + 1)]
-    windows = [
-        [rounds[r] + i * W / speed_floor for i in range(1, 9)]
-        for r in range(max_round)
-    ]
-    return rounds, windows
+    r = _np.arange(1, max_round + 1, dtype=_np.float64)
+    rounds_arr = w + (r - 1.0) * 9.0 * w
+    i = _np.arange(1, 9, dtype=_np.float64)
+    windows_arr = rounds_arr[:, None] + (i[None, :] * W) / speed_floor
+    return rounds_arr.tolist(), windows_arr.tolist()
 
 
 def awave_energy_budget(ell: int) -> float:

@@ -7,7 +7,7 @@ introduces it.  This module is that machinery:
 
 * a registry of benchmark **workloads** in two suites — ``engine``
   (substrate micro-benchmarks: the move+look cycle, wake chains,
-  polylines) and ``scale`` (large-``n`` end-to-end algorithm runs,
+  harness dispatch) and ``scale`` (large-``n`` end-to-end algorithm runs,
   including the 100k-sleeper AGrid wave) — each with a ``quick`` or
   ``full`` tier;
 * :func:`run_suite` — measure wall time (best of ``repeat``),
@@ -143,29 +143,6 @@ def run_wake_heavy(count: int = 1000, trace=None) -> int:
     return result.events_processed
 
 
-def run_polyline(waypoints: int = 600, repeats: int = 40, trace=None) -> int:
-    """Long ``MovePath`` polylines — the O(k^2) ``pop(0)`` regression
-    guard: per-segment stepping must stay O(1)."""
-    from repro.geometry import Point
-    from repro.sim import SOURCE_ID, Engine, MovePath, World
-
-    world = World(source=Point(0, 0), positions=[])
-    engine = Engine(world, trace=trace)
-
-    def program(proc):
-        for r in range(repeats):
-            path = [
-                Point(0.01 * (i + 1), 0.001 * (i % 7))
-                for i in range(waypoints)
-            ]
-            yield MovePath(path)
-            yield MovePath(list(reversed(path))[1:] + [Point(0.0, 0.0)])
-
-    engine.spawn(program, [SOURCE_ID])
-    result = engine.run()
-    return result.events_processed
-
-
 def run_harness_dispatch(jobs: int = 24, n: int = 12) -> int:
     """Sweep-harness dispatch overhead on the ``serial`` backend.
 
@@ -174,7 +151,7 @@ def run_harness_dispatch(jobs: int = 24, n: int = 12) -> int:
     dominated by the per-job machinery the executor redesign owns —
     request expansion keys, backend submit/settle bookkeeping, record
     normalisation — rather than by simulation work.  Guards the
-    executor layer the way ``polyline`` guards the engine hot path.
+    executor layer the way ``move_look_cycle`` guards the engine hot path.
     """
     from repro.core.runner import RunRequest
     from repro.experiments.harness import run_requests
@@ -249,12 +226,6 @@ def bench_workloads() -> tuple[BenchWorkload, ...]:
             suite="engine", tier="quick", repeat=3,
             runner=lambda: run_wake_heavy(trace=NullTrace()),
             meta={"count": 1000, "trace": "null"},
-        ),
-        BenchWorkload(
-            name="polyline",
-            suite="engine", tier="quick", repeat=3,
-            runner=lambda: run_polyline(trace=NullTrace()),
-            meta={"waypoints": 600, "repeats": 40, "trace": "null"},
         ),
         BenchWorkload(
             name="harness_dispatch",

@@ -14,7 +14,7 @@ Public surface:
 
 from .diskgraph import DiskGraph, bottleneck_connectivity, connected_components
 from .frontier import FRONTIER_PAD, FrontierIndex, frontier_for
-from .frozen import HAVE_NUMPY, FrozenGridHash
+from .frozen import FrozenGridHash
 from .gridhash import GridHash
 from .ordering import boundary_parameter, sort_seeds
 from .parameters import (
@@ -60,7 +60,6 @@ __all__ = [
     "FRONTIER_PAD",
     "FrontierIndex",
     "frontier_for",
-    "HAVE_NUMPY",
     "DiskGraph",
     "Separator",
     "InstanceParameters",

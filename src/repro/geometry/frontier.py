@@ -53,10 +53,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Sequence
 
-try:  # numpy is a hard dependency of the package, but degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None
+import numpy as _np
 
 from .points import EPS, Point
 
@@ -161,11 +158,8 @@ class FrontierIndex:
                     start = idx
                     current = cell
             self._slices[current] = (start, self._n)
-        if _np is not None and self._n:
-            self._vx = _np.asarray(self._xs, dtype=_np.float64)
-            self._vy = _np.asarray(self._ys, dtype=_np.float64)
-        else:
-            self._vx = self._vy = None
+        self._vx = _np.asarray(self._xs, dtype=_np.float64)
+        self._vy = _np.asarray(self._ys, dtype=_np.float64)
 
     def __len__(self) -> int:
         return self._n
@@ -207,10 +201,7 @@ class FrontierIndex:
                 if bounds is None:
                     continue
                 start, stop = bounds
-                if (
-                    self._vx is not None
-                    and stop - start >= _SCALAR_CUTOFF
-                ):
+                if stop - start >= _SCALAR_CUTOFF:
                     dx = self._vx[start:stop] - x
                     dy = self._vy[start:stop] - y
                     d_sq = dx * dx + dy * dy
@@ -261,7 +252,7 @@ class FrontierIndex:
             return False
         r = self.reach
         xs, ys = self._xs, self._ys
-        if self._vx is not None and self._n >= _SCALAR_CUTOFF:
+        if self._n >= _SCALAR_CUTOFF:
             return bool(
                 (
                     (self._vx >= xmin - r) & (self._vx <= xmax + r)
@@ -279,7 +270,7 @@ class FrontierIndex:
 
         Float-op-identical to :meth:`repro.core.agrid.CellGrid.cell_of`
         evaluated per point (``floor((x - ox + width/2) / width)``), but
-        vectorized over the packed arrays when numpy is available.
+        vectorized over the packed arrays.
         """
         if width <= 0:
             raise ValueError("cell width must be positive")
@@ -287,17 +278,10 @@ class FrontierIndex:
         ox, oy = float(origin[0]), float(origin[1])
         # Report in original key order: invert the packing permutation.
         by_key: dict[Hashable, tuple[int, int]] = {}
-        if self._vx is not None:
-            ix = _np.floor((self._vx - ox + half) / width).astype(_np.int64)
-            iy = _np.floor((self._vy - oy + half) / width).astype(_np.int64)
-            for pos, key in enumerate(self._packed_keys):
-                by_key[key] = (int(ix[pos]), int(iy[pos]))
-        else:
-            for pos, key in enumerate(self._packed_keys):
-                by_key[key] = (
-                    int(math.floor((self._xs[pos] - ox + half) / width)),
-                    int(math.floor((self._ys[pos] - oy + half) / width)),
-                )
+        ix = _np.floor((self._vx - ox + half) / width).astype(_np.int64)
+        iy = _np.floor((self._vy - oy + half) / width).astype(_np.int64)
+        for pos, key in enumerate(self._packed_keys):
+            by_key[key] = (int(ix[pos]), int(iy[pos]))
         return [by_key[k] for k in self._keys]
 
     def bucket(

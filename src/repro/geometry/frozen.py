@@ -29,18 +29,11 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterator, Sequence
 
-try:  # numpy is a hard dependency of the package, but degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None
+import numpy as _np
 
 from .points import EPS, Point
 
-__all__ = ["FrozenGridHash", "HAVE_NUMPY"]
-
-#: Whether the vectorized backend is available (callers may fall back to
-#: the mutable :class:`~repro.geometry.gridhash.GridHash` when not).
-HAVE_NUMPY = _np is not None
+__all__ = ["FrozenGridHash"]
 
 #: Below this many points in a cell, a scalar loop beats numpy call
 #: overhead for that cell's slice.
@@ -65,10 +58,6 @@ class FrozenGridHash:
         cell_size: float,
         keys: Sequence[Hashable] | None = None,
     ) -> None:
-        if _np is None:  # pragma: no cover - exercised only on broken installs
-            raise RuntimeError(
-                "FrozenGridHash requires numpy; use geometry.GridHash instead"
-            )
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)

@@ -27,7 +27,6 @@ from .actions import (
     LatticeAxis,
     Look,
     Move,
-    MovePath,
     Program,
     Result,
     RobotView,
@@ -64,7 +63,6 @@ __all__ = [
     "Fork",
     "Look",
     "Move",
-    "MovePath",
     "LatticeAxis",
     "Sweep",
     "TeamSweep",

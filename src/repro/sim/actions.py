@@ -22,7 +22,6 @@ Time cost of each action:
 
 ========== =========================================
 Move       Euclidean length of the segment
-MovePath   total polyline length
 Sweep      total lattice-run length (single engine event)
 TeamSweep  the longest member's run at its robot's speed (one event)
 Tour       each leg's length, then its wait (one event)
@@ -51,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Action",
     "Move",
-    "MovePath",
     "LatticeAxis",
     "Sweep",
     "TeamSweep",
@@ -86,16 +84,6 @@ class Move(Action):
     """Move the whole process (all owned robots) straight to ``target``."""
 
     target: Point
-
-
-@dataclass(frozen=True)
-class MovePath(Action):
-    """Move along a polyline of waypoints (visited in order)."""
-
-    waypoints: tuple[Point, ...]
-
-    def __init__(self, waypoints: Sequence[Point]) -> None:
-        object.__setattr__(self, "waypoints", tuple(waypoints))
 
 
 class LatticeAxis:

@@ -46,25 +46,19 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Dict, Generator, Sequence
 
+import numpy as _np
+
 from ..geometry import (
     EPS,
-    HAVE_NUMPY,
     GridHash,
     Point,
     close_to,
-    distance,
 )
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 from .actions import (
     Absorb,
     Action,
@@ -73,7 +67,6 @@ from .actions import (
     Fork,
     Look,
     Move,
-    MovePath,
     Program,
     Result,
     RobotView,
@@ -120,8 +113,6 @@ class _Process:
         "speed",
         "site",
         "convoy",
-        "sleep_cache",
-        "sleep_fat_off",
         "motion_from",
         "motion_start",
         "motion_to",
@@ -154,13 +145,6 @@ class _Process:
         #: (exactly one of the two is set for a live process).
         self.site: _Site | None = None
         self.convoy: _Convoy | None = None
-        #: Fat-ball sleeping-candidate cache ``[wake_epoch, center,
-        #: candidates, margin, hits]`` — see Engine._do_look.
-        self.sleep_cache: list | None = None
-        #: Learned preference: once a fat cache expires without a single
-        #: hit, this process's looks stride too far for the margin — stop
-        #: paying for fat fetches (sticky for the process's lifetime).
-        self.sleep_fat_off = False
         # Motion state, valid while state == "moving"; lets other processes
         # interpolate this process's position for Look snapshots.
         self.motion_from: Point | None = None
@@ -376,19 +360,10 @@ class Engine:
         # mutation (wake, motion, process lifecycle).  Between mutations
         # the world is static, so equal probes yield identical views.
         self._look_cache: dict[tuple[float, Point], tuple[RobotView, ...]] = {}
-        # Sleeping-set version: bumped on every wake; invalidates the
-        # per-process fat-ball candidate caches.
-        self._sleep_epoch = 0
         # Immortal per-robot sleeping views: a sleeping robot never moves,
         # so its RobotView is constant until it wakes (after which it never
         # reappears in sleeping candidates) — build each exactly once.
         self._sleep_views: dict[int, RobotView] = {}
-        # Fat-ball margin: a process's sleeping candidates are fetched for
-        # radius + margin around a reference point and reused (with exact
-        # per-point re-filtering) while the observer stays within the
-        # margin of it — consecutive snapshots of a slowly advancing
-        # explorer then skip the spatial index entirely.
-        self._sleep_fat = 0.5 * self.visibility_radius
         self._barriers: Dict[Any, _BarrierState] = {}
         self._queue: list[tuple[float, int, int, Any]] = []
         self._seq = itertools.count()
@@ -466,12 +441,8 @@ class Engine:
             if proc is None or proc.state == "done":
                 continue
             if type(value.value) is _Step:
-                # An engine-internal step (the next polyline segment, a
-                # team landing): sync position, take the step — the
-                # generator is not resumed yet.  (Robot records are synced
-                # lazily — see _finish.)
-                if proc.motion_to is not None:
-                    proc.position = proc.motion_to
+                # An engine-internal step (a team landing or its hop): the
+                # generator is not resumed yet.
                 value.value.advance()
                 continue
             self._resume(proc, value)
@@ -522,12 +493,11 @@ class Engine:
             except StopIteration:
                 self._finish(proc)
                 return
-            # Inlined _dispatch: one dict probe on the exact type (all
-            # shipped actions are final), isinstance fallback for
-            # subclasses.
+            # One dict probe on the exact type, so a subclass of a shipped
+            # action is an unknown action.
             handler = handlers_get(action.__class__)
             if handler is None:
-                handler = _resolve_handler(action)
+                raise ProtocolError(f"unknown action {action!r}")
             handled = handler(self, proc, action)
             if handled is None:
                 return  # process blocked or scheduled for later
@@ -569,9 +539,7 @@ class Engine:
     # instantly (fed straight back into the generator) or None when the
     # process was re-scheduled / blocked.
     def _handle_move(self, proc: _Process, action: Move) -> None:
-        # Specialized single-segment move: the hottest action, so the
-        # polyline generality (waypoint loop, per-segment chaining) is
-        # skipped and the length is computed exactly once.
+        # The hottest action: the length is computed exactly once.
         target = action.target
         position = proc.position
         length = math.hypot(position[0] - target[0], position[1] - target[1])
@@ -608,9 +576,6 @@ class Engine:
                 },
             )
         return None
-
-    def _handle_movepath(self, proc: _Process, action: MovePath) -> None:
-        return self._do_move(proc, action.waypoints)
 
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
         # A lattice run: observationally identical to one Move per
@@ -806,15 +771,6 @@ class Engine:
             )
         return Result(self.now, None)
 
-    def _note_segment(self, proc: _Process, target: Point) -> None:
-        """Put a process starting a fresh motion segment in its convoy."""
-        if proc.convoy is not None:
-            self._leave_convoy(proc)
-        self._join_convoy(
-            proc,
-            _segment_key(proc.motion_from, target, proc.motion_start, proc.motion_end),
-        )
-
     # -- Look grouping: sites and convoys ------------------------------------
     def _site_at(self, point: Point) -> _Site:
         """The site at ``point``, created on first use; its views go stale
@@ -902,105 +858,6 @@ class Engine:
         proc.state = "waiting"
         self._schedule(wake_at, proc.pid, Result(wake_at, None))
 
-    def _do_move(self, proc: _Process, waypoints: Sequence[Point]) -> None:
-        # Collapse the polyline into successive segments; we schedule the
-        # final arrival only, but track the *current* segment for position
-        # interpolation by charging segments one at a time.
-        if not waypoints:
-            raise ProtocolError("empty move")
-        length = 0.0
-        prev = proc.position
-        for w in waypoints:
-            length += distance(prev, w)
-            prev = w
-        robots = self.world.robots
-        for rid in proc.robot_ids:
-            robot = robots[rid]
-            # Inlined Robot.can_move — the same tolerance, minus two
-            # method calls per robot on every move.
-            if robot.odometer + length > robot.budget + 1e-9:
-                raise EnergyBudgetExceeded(
-                    rid, robot.odometer + length, robot.budget
-                )
-        if length <= EPS:
-            # Zero-length move: stay put, complete immediately by scheduling
-            # at the current time (keeps semantics uniform).
-            self._reposition(proc, waypoints[-1])
-            self._schedule(self.now, proc.pid, Result(self.now, None))
-            proc.state = "waiting"
-            return None
-        for rid in proc.robot_ids:
-            robots[rid].odometer += length
-        # The process leaves its site for the length of the move; each
-        # segment puts it in the convoy of that segment (_note_segment).
-        self._unpark(proc)
-        self._look_cache.clear()
-        # A process travels at the speed of its slowest member (the team
-        # moves together, cached on the process); under the default world
-        # model this is 1.0 and travel time equals travel distance, the
-        # paper's convention.
-        speed = proc.speed
-        # For interpolation we expose the straight chord of the first..last
-        # segment only when the path is a single segment; multi-segment
-        # paths are walked segment-by-segment via chained events.
-        if len(waypoints) == 1:
-            self._begin_segment(proc, waypoints[0], speed)
-        else:
-            self._begin_polyline(proc, waypoints, speed)
-        trace = self.trace
-        if trace.enabled:
-            trace.append(
-                self.now, "move", proc.pid,
-                {
-                    "length": length, "to": waypoints[-1],
-                    "waypoints": len(waypoints), "robots": len(proc.robot_ids),
-                },
-            )
-        return None
-
-    def _begin_segment(self, proc: _Process, target: Point, speed: float) -> None:
-        length = distance(proc.position, target)
-        proc.state = "moving"
-        proc.motion_from = proc.position
-        proc.motion_start = self.now
-        proc.motion_to = target
-        proc.motion_end = self.now + length / speed
-        self._note_segment(proc, target)
-        self._schedule(proc.motion_end, proc.pid, Result(proc.motion_end, None))
-
-    def _begin_polyline(
-        self, proc: _Process, waypoints: Sequence[Point], speed: float
-    ) -> None:
-        """Walk a polyline with exact per-segment positions.
-
-        Implemented by chaining an internal continuation: each intermediate
-        arrival event only updates motion state and starts the next segment
-        (the generator resumes at the final arrival only).  The pending
-        waypoints live in a deque so each step is O(1) — a ``pop(0)`` walk
-        would make a k-segment path O(k^2).
-        """
-        segments = deque(waypoints)
-
-        def advance() -> None:
-            if not segments:
-                return
-            target = segments.popleft()
-            length = distance(proc.position, target)
-            proc.state = "moving"
-            proc.motion_from = proc.position
-            proc.motion_start = self.now
-            proc.motion_to = target
-            proc.motion_end = self.now + length / speed
-            self._note_segment(proc, target)
-            if segments:
-                self._schedule(
-                    proc.motion_end, proc.pid, Result(proc.motion_end, _Step(advance))
-                )
-            else:
-                self._schedule(proc.motion_end, proc.pid, Result(proc.motion_end, None))
-
-        advance()
-
     # -- instantaneous actions -------------------------------------------
     def _do_look(self, proc: _Process, action: Look | None = None) -> Result:
         center = proc.position
@@ -1016,65 +873,18 @@ class Engine:
         if views is None:
             radius = self.visibility_radius
             build: list[RobotView] = []
-            # Sleeping robots.  A process reuses its fat-ball candidate
-            # list (fetched for radius + margin) while it stays within the
-            # margin of the reference center and no wake has occurred;
-            # membership is re-decided per point with the exact oracle
-            # predicate, so the cache is observationally invisible.  The
-            # margin is adaptive: a cache that expires without a single
-            # hit means the observer's stride outruns it (e.g. the
-            # sqrt(2)-spaced Explore lattice), so the next fetch degrades
-            # to a plain exact query with no fat overhead.
-            cx, cy = center
-            limit = radius + EPS
-            cache = proc.sleep_cache
-            epoch = self._sleep_epoch
-            candidates = None
-            if cache is not None and cache[0] == epoch:
-                if distance(cache[1], center) <= cache[3] - 1e-9:
-                    candidates = cache[2]
-                    cache[4] += 1
+            # Sleeping robots: the index query is the exact closed ball.
             sleep_views = self._sleep_views
-            if candidates is not None:
-                hyp = math.hypot
-                for rid, pos in candidates:
-                    if hyp(pos[0] - cx, pos[1] - cy) <= limit:
-                        view = sleep_views.get(rid)
-                        if view is None:
-                            view = sleep_views[rid] = RobotView(rid, pos, False)
-                        build.append(view)
-            else:
-                if (
-                    cache is not None
-                    and cache[0] == epoch
-                    and cache[3] > 0.0
-                    and cache[4] == 0
-                ):
-                    # The margin expired by distance without ever being
-                    # reused: this observer strides past it (e.g. the
-                    # sqrt(2)-spaced Explore lattice).
-                    proc.sleep_fat_off = True
-                fat = 0.0 if proc.sleep_fat_off else self._sleep_fat
-                candidates = self.world.sleeping_items(center, radius + fat)
-                proc.sleep_cache = [epoch, center, candidates, fat, 0]
-                if fat > 0.0:
-                    hyp = math.hypot
-                    for rid, pos in candidates:
-                        if hyp(pos[0] - cx, pos[1] - cy) <= limit:
-                            view = sleep_views.get(rid)
-                            if view is None:
-                                view = sleep_views[rid] = RobotView(rid, pos, False)
-                            build.append(view)
-                else:
-                    # Plain query: candidates *are* the exact ball.
-                    for rid, pos in candidates:
-                        view = sleep_views.get(rid)
-                        if view is None:
-                            view = sleep_views[rid] = RobotView(rid, pos, False)
-                        build.append(view)
+            for rid, pos in self.world.sleeping_items(center, radius):
+                view = sleep_views.get(rid)
+                if view is None:
+                    view = sleep_views[rid] = RobotView(rid, pos, False)
+                build.append(view)
             # Awake robots, one distance test per site (stationary teams
             # and idle robots sharing a point) and one interpolation per
             # convoy (movers sharing a segment).
+            cx, cy = center
+            limit = radius + EPS
             hyp = math.hypot
             sites = self._sites
             if len(sites) == 1:
@@ -1104,11 +914,7 @@ class Engine:
             convoys = self._convoys
             if convoys:
                 movers = self._movers
-                if (
-                    movers is None
-                    and _np is not None
-                    and len(convoys) > _MOVER_INDEX_ON
-                ):
+                if movers is None and len(convoys) > _MOVER_INDEX_ON:
                     # Too many concurrent convoys for a per-look Python
                     # scan: build the vectorized bbox index (maintained
                     # incrementally from here on).
@@ -1140,7 +946,7 @@ class Engine:
             views = tuple(build)
             if use_memo:
                 self._look_cache[cache_key] = views
-        trace._look_count += 1  # inlined Trace.note_look
+        trace._look_count += 1  # counted even when looks are not kept
         if trace.keep_looks and trace.enabled:
             trace.append(
                 self.now, "look", proc.pid, {"count": len(views), "at": center}
@@ -1161,7 +967,6 @@ class Engine:
         waker = proc.robot_ids[0]
         self.world.mark_awake(action.robot_id, self.now, waker)
         robot.position = proc.position
-        self._sleep_epoch += 1
         self._look_cache.clear()
         trace = self.trace
         if trace.enabled:
@@ -1327,8 +1132,8 @@ class Engine:
 
 
 class _Step:
-    """Queue value for an engine-internal step — the next polyline segment,
-    a team landing or a hop — taken without resuming the generator."""
+    """Queue value for an engine-internal step — a team landing or its
+    hop — taken without resuming the generator."""
 
     __slots__ = ("advance",)
 
@@ -1581,12 +1386,10 @@ def _run_bbox(
     )
 
 
-#: Exact-type dispatch table (the common case: all shipped actions are
-#: final).  Subclasses of a known action resolve through the isinstance
-#: fallback below and are memoized here, so they pay the scan once.
+#: Exact-type dispatch table: every shipped action is final, and any other
+#: class (a subclass of a shipped action included) is an unknown action.
 _HANDLERS: dict[type, Callable[[Engine, _Process, Any], Result | None]] = {
     Move: Engine._handle_move,
-    MovePath: Engine._handle_movepath,
     Sweep: Engine._handle_sweep,
     TeamSweep: Engine._handle_teamsweep,
     Tour: Engine._handle_tour,
@@ -1599,14 +1402,3 @@ _HANDLERS: dict[type, Callable[[Engine, _Process, Any], Result | None]] = {
     Absorb: Engine._handle_absorb,
     Annotate: Engine._handle_annotate,
 }
-
-_HANDLER_BASES: tuple[tuple[type, Callable], ...] = tuple(_HANDLERS.items())
-
-
-def _resolve_handler(action: Action) -> Callable[[Engine, _Process, Any], Result | None]:
-    """Isinstance fallback for action subclasses; memoizes the resolution."""
-    for base, handler in _HANDLER_BASES:
-        if isinstance(action, base):
-            _HANDLERS[action.__class__] = handler
-            return handler
-    raise ProtocolError(f"unknown action {action!r}")

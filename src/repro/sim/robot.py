@@ -46,17 +46,9 @@ class Robot:
     crashed: bool = False            # fails the instant it is woken
 
     @property
-    def is_source(self) -> bool:
-        return self.robot_id == SOURCE_ID
-
-    @property
     def remaining_budget(self) -> float:
         return self.budget - self.odometer
 
     def can_move(self, length: float) -> bool:
         """Whether a move of ``length`` fits in the remaining budget."""
         return self.odometer + length <= self.budget + 1e-9
-
-    def charge(self, length: float) -> None:
-        """Add ``length`` to the odometer (caller validated the budget)."""
-        self.odometer += length

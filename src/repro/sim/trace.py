@@ -61,25 +61,6 @@ class Trace:
         self._look_count = 0
 
     # -- recording (engine only) ------------------------------------------
-    def record(self, time: float, kind: str, process_id: int, **data: Any) -> None:
-        """Compatibility entry point: count looks, append when enabled.
-
-        The engine's hot path avoids this method — it calls
-        :meth:`note_look` for counters and :meth:`append` behind an
-        ``enabled`` guard, so a disabled trace costs neither a kwargs
-        dict nor a :class:`TraceEvent` per event.
-        """
-        if kind == "look":
-            self._look_count += 1
-            if not self.keep_looks:
-                return
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, process_id, data))
-
-    def note_look(self) -> None:
-        """Count one snapshot without materializing an event."""
-        self._look_count += 1
-
     def append(
         self, time: float, kind: str, process_id: int, data: dict[str, Any]
     ) -> None:

@@ -15,7 +15,7 @@ families so robustness questions ("20% slow robots", "crash-on-wake")
 become sweepable workloads.
 
 Sleeping robots never move, so they are indexed once in a
-visibility-radius-cell :class:`~repro.geometry.gridhash.GridHash` keyed
+visibility-radius-cell :class:`~repro.geometry.frozen.FrozenGridHash` keyed
 for the snapshot queries; a robot is removed from the index the moment it
 wakes.  Awake robots are tracked by the engine's processes (their
 positions change with their process), plus a registry of *idle* awake
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence
 
-from ..geometry import EPS, HAVE_NUMPY, FrozenGridHash, GridHash, Point
+from ..geometry import EPS, FrozenGridHash, Point
 from .robot import SOURCE_ID, Robot
 
 __all__ = ["World", "WorldConfig", "VISIBILITY_RADIUS", "CO_LOCATION_TOL"]
@@ -306,18 +306,11 @@ class World:
         )
         # Sleeping robots never move — only disappear as they wake — so the
         # index is packed once into a vectorized FrozenGridHash (wakes are
-        # O(1) mask flips).  The mutable GridHash remains as a fallback for
-        # installs without numpy; both share closed-ball query semantics.
-        if HAVE_NUMPY:
-            self._sleeping_index = FrozenGridHash(
-                points, cell_size=self.visibility_radius,
-                keys=range(1, len(points) + 1),
-            )
-        else:  # pragma: no cover - exercised only on numpy-less installs
-            index = GridHash(cell_size=self.visibility_radius)
-            for i, p in enumerate(points, start=1):
-                index.insert(i, p)
-            self._sleeping_index = index
+        # O(1) mask flips).
+        self._sleeping_index = FrozenGridHash(
+            points, cell_size=self.visibility_radius,
+            keys=range(1, len(points) + 1),
+        )
         self.last_wake_time = 0.0
         self._wake_order: list[int] = [SOURCE_ID]
 
@@ -354,13 +347,6 @@ class World:
     def source(self) -> Robot:
         return self.robots[SOURCE_ID]
 
-    def sleeping_within(self, center: Point, radius: float) -> list[Robot]:
-        """Sleeping robots in the closed ball ``B(center, radius)``."""
-        return [
-            self.robots[rid]
-            for rid, _ in self._sleeping_index.query_ball(center, radius, tol=EPS)
-        ]
-
     def sleeping_items(
         self, center: Point, radius: float
     ) -> list[tuple[int, Point]]:
@@ -381,10 +367,6 @@ class World:
     def awake_count(self) -> int:
         """Number of awake robots (the source plus every wake so far)."""
         return len(self._wake_order)
-
-    def awake_robots(self) -> list[Robot]:
-        # Awake robots are always materialized (waking touches the record).
-        return [r for r in self.robots.loaded() if r.awake]
 
     def wake_order(self) -> list[int]:
         """Robot ids in wake order (source first)."""

@@ -163,13 +163,6 @@ class TestEngineWorkloadsSmoke:
         events = run_move_look_cycle(cycles=50, n=200, trace=NullTrace())
         assert events > 50
 
-    def test_polyline_small(self):
-        from repro.experiments.bench import run_polyline
-        from repro.sim import NullTrace
-
-        events = run_polyline(waypoints=40, repeats=2, trace=NullTrace())
-        assert events > 80
-
     def test_scale_request_small(self):
         from repro.experiments.bench import run_scale_request
 

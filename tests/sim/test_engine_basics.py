@@ -10,7 +10,6 @@ from repro.sim import (
     Engine,
     Look,
     Move,
-    MovePath,
     ProtocolError,
     SOURCE_ID,
     Wait,
@@ -40,15 +39,6 @@ class TestMotion:
         assert world.source.position == Point(3, 4)
         assert world.source.odometer == pytest.approx(5.0)
 
-    def test_move_path_polyline(self):
-        def program(proc):
-            r = yield MovePath([Point(1, 0), Point(1, 1), Point(0, 1)])
-            assert r.time == pytest.approx(3.0)
-
-        world, result = run_world([], program)
-        assert world.source.odometer == pytest.approx(3.0)
-        assert world.source.position == Point(0, 1)
-
     def test_zero_length_move(self):
         def program(proc):
             yield Move(Point(0, 0))
@@ -56,13 +46,6 @@ class TestMotion:
 
         _, result = run_world([], program)
         assert result.termination_time == 0.0
-
-    def test_empty_move_path_rejected(self):
-        def program(proc):
-            yield MovePath([])
-
-        with pytest.raises(ProtocolError):
-            run_world([], program)
 
     def test_wait_and_wait_until(self):
         def program(proc):

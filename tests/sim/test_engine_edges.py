@@ -1,5 +1,5 @@
 """Engine edge cases: visibility boundaries, barrier reuse, mid-flight
-interpolation, spawn validation."""
+interpolation, spawn validation, unknown actions."""
 
 import math
 
@@ -137,6 +137,26 @@ class TestSpawnValidation:
         engine = Engine(world)
         with pytest.raises(ProtocolError):
             engine.spawn(lambda p: iter(()), [])
+
+
+class _Detour(Move):
+    """A subclass of a shipped action: the engine dispatches on exact types."""
+
+
+class TestUnknownActions:
+    @pytest.mark.parametrize(
+        "action", [object(), _Detour(Point(1, 0))], ids=["object", "move_subclass"]
+    )
+    def test_unknown_action_raises(self, action):
+        world = World(source=Point(0, 0), positions=[])
+        engine = Engine(world)
+
+        def program(proc):
+            yield action
+
+        engine.spawn(program, [SOURCE_ID])
+        with pytest.raises(ProtocolError, match="unknown action"):
+            engine.run()
 
 
 class TestIdleRobots:

@@ -9,7 +9,6 @@ from repro.sim import (
     Engine,
     EnergyBudgetExceeded,
     Move,
-    MovePath,
     SOURCE_ID,
     Wake,
     World,
@@ -23,7 +22,8 @@ class TestOdometer:
 
         def program(proc):
             yield Move(Point(1, 0))
-            yield MovePath([Point(1, 1), Point(0, 1)])
+            yield Move(Point(1, 1))
+            yield Move(Point(0, 1))
             yield Move(Point(0, 0))
 
         engine.spawn(program, [SOURCE_ID])

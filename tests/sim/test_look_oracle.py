@@ -33,7 +33,6 @@ from repro.sim import (
     LatticeAxis,
     Look,
     Move,
-    MovePath,
     Sweep,
     TeamSweep,
     Tour,
@@ -81,7 +80,6 @@ leaf_ops = st.one_of(
     # A real move shorter than the co-location tolerance: Absorb may then
     # take robots from a point next to its own.
     st.tuples(st.just("nudge")),
-    st.tuples(st.just("path"), spot, spot),
     st.tuples(
         st.just("sweep"),
         st.integers(0, LATTICE - 1),
@@ -311,8 +309,6 @@ class Run:
         elif kind == "nudge":
             here = proc.position
             yield Move(Point(here[0], here[1] + 0.25 * CO_LOCATION_TOL))
-        elif kind == "path":
-            yield MovePath([PALETTE[op[1]], PALETTE[op[2]]])
         elif kind == "sweep":
             start, stop, tail = op[1], max(op[1], op[2]), op[3]
             if start < stop or tail is not None:
@@ -491,7 +487,7 @@ class TestLookOracle:
         team_specs=[
             (9, 3, [("cohort", 2), ("wake", 1, None), ("stay", 0.0), ("absorb",)]),
             (2, 2, [("fork", [("until", 2.0)]), ("until", 4.0), ("nudge",), ("absorb",)]),
-            (1, 2, [("fork", [("sweep", 2, 7, 4)]), ("path", 0, 4)]),
+            (1, 2, [("fork", [("sweep", 2, 7, 4)]), ("move", 0), ("move", 4)]),
             (4, 1, [("wake", 0, [("until", 3.0)]), ("wake", 2, None)]),
         ],
         crowd=_MOVER_INDEX_ON + 4,
