@@ -7,7 +7,6 @@ constant and compares the shipped solvers (ablation: quadtree vs greedy vs
 chain vs exact-on-micro-instances).
 """
 
-import math
 import random
 
 from repro.centralized import (

@@ -5,8 +5,6 @@ boustrophedon, (b) the ``k``-strip team split, including an ablation of
 the snapshot spacing.
 """
 
-import math
-
 from repro.experiments import exploration_scaling, print_table
 from repro.metrics import fit_linear_combination
 

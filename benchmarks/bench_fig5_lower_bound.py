@@ -6,8 +6,6 @@ two-pass adversary and measure ``ASeparator`` against the telescoped
 ``Ω(ell^2 log m + rho)`` prediction.
 """
 
-import math
-
 from repro.experiments import lower_bound_experiment, print_table
 
 

@@ -12,7 +12,6 @@ quadtree strategy, and by tests as an independent makespan reference.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from ..geometry import Point, distance

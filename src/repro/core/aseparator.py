@@ -68,6 +68,10 @@ class SeparatorContext:
     imports: frozenset[int] = frozenset()
     after: AfterFactory | None = None       # continuation for robots woken here
     on_release: AfterFactory | None = None  # continuation for imported robots
+    #: Hand-back of a dissolving team made only of imports, as one program
+    #: fragment returning whether it released the team; ``False`` sends
+    #: each import back through ``on_release``.
+    on_release_team: Callable[[ProcessView], Generator[Action, Result, bool]] | None = None
     solver: SolverFn = quadtree_schedule    # Lemma 2 centralized solver
     #: Optional sparse-frontier oracle: batches cold exploration lattices
     #: into engine sweeps (see :mod:`repro.geometry.frontier`).  ``None``
@@ -360,6 +364,9 @@ def _dissolve(
 ) -> Generator[Action, Result, None]:
     """Release every owned robot through its continuation and finish."""
     ids = list(proc.robot_ids)
+    if ctx.on_release_team is not None and ctx.imports.issuperset(ids):
+        if (yield from ctx.on_release_team(proc)):
+            return
     if len(ids) > 1:
         yield Fork([([rid], _release_program(ctx, rid)) for rid in ids[1:]])
     cont = ctx.continuation_for(ids[0])

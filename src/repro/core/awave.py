@@ -36,18 +36,29 @@ as :func:`repro.core.agrid.agrid_program`'s source does).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as _np
 
-from ..geometry import close_to
-from ..sim import Absorb, Annotate, Look, Move, Result, Wait, WaitUntil
+from ..geometry import EPS, Point, close_to
+from ..sim import (
+    Absorb,
+    Annotate,
+    Fork,
+    LatticeAxis,
+    Look,
+    Move,
+    Result,
+    TeamSweep,
+    Wait,
+    WaitUntil,
+)
 from ..sim.actions import Action, Program
 from ..sim.engine import ProcessView
 from ..sim.errors import ProtocolError
 from .agrid import CellGrid, Cell
 from .aseparator import SeparatorContext, aseparator_program, embedded_entry
-from .explore import SQRT2
+from .explore import BUDGET_MARGIN, SQRT2
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..geometry import FrontierIndex
@@ -338,12 +349,14 @@ def _window_step(
     _assert_on_time(proc, start, f"awave round {r} window {i}")
     yield WaitUntil(start)
     yield Annotate("awave:window", {"round": r, "cell": target, "i": i})
+    regroup = _Regroup(plan, r, cell, i, imports)
     ctx = SeparatorContext(
         ell=plan.e,
         key_base=("awave", r, cell, i),
         imports=frozenset(imports),
         after=_participant_factory(plan, r + 1),
-        on_release=_regroup_factory(plan, r, cell, i, imports),
+        on_release=regroup,
+        on_release_team=regroup.team,
         frontier=plan.frontier,
     )
     yield from embedded_entry(ctx, grid.rect(target), grid.owns(target))(proc)
@@ -351,35 +364,99 @@ def _window_step(
     # their continuations inline; nothing more to do.
 
 
-def _regroup_factory(
-    plan: _WavePlan,
-    r: int,
-    cell: Cell,
-    i: int,
-    imports: tuple[int, ...],
-):
+class _Regroup:
     """``on_release`` continuation for imports of window ``i``: walk to the
-    next window's corner; the minimum import id re-absorbs the team."""
+    next window's corner; the minimum import id re-absorbs the team.
 
-    def factory(rid: int) -> Program | None:
-        if i >= 8:
+    The corner, the leader and its absorb list are computed once per
+    window.  A dissolving team made only of these imports may instead be
+    handed back as one flight (:meth:`team`).
+    """
+
+    def __init__(
+        self, plan: _WavePlan, r: int, cell: Cell, i: int, imports: tuple[int, ...]
+    ) -> None:
+        self.plan, self.r, self.cell, self.i, self.imports = plan, r, cell, i, imports
+        self.leader = min(imports)
+        self.rest = [x for x in imports if x != self.leader]
+        self.corner = (
+            plan.grid.rect(plan.grid.neighbor(cell, i + 1)).lower_left if i < 8 else None
+        )
+
+    def __call__(self, rid: int) -> Program | None:
+        if self.i >= 8:
             return None  # tour over: park in place
 
         def program(proc: ProcessView) -> Generator[Action, Result, None]:
-            next_target = plan.grid.neighbor(cell, i + 1)
-            yield Move(plan.grid.rect(next_target).lower_left)
-            if rid != min(imports):
+            yield Move(self.corner)
+            if rid != self.leader:
                 return  # idle at the corner until absorbed
-            start = plan.window_start(r, i + 1)
-            _assert_on_time(proc, start, f"awave regroup round {r} window {i + 1}")
-            yield WaitUntil(start)
-            yield Wait(0.0)
-            yield Absorb([x for x in imports if x != rid])
-            yield from _window_step(proc, plan, r, cell, i + 1, imports)
+            yield from self._next_window(proc, self.rest)
 
         return program
 
-    return factory
+    def team(self, proc: ProcessView) -> Generator[Action, Result, bool]:
+        """Hand a dissolving team made only of these imports back as one.
+
+        Observably the per-import path: the team is reordered as the
+        leader's absorb would order it (one idle-group ``Fork``,
+        ``Wait(0.0)``, one ``Absorb``), then every import walks to the
+        corner at its own speed in one :class:`~repro.sim.TeamSweep` of
+        one-stop runs, and the leader carries on from the last arrival.
+        Taken only on the frontier execution and when
+        :func:`_hand_back_admissible` holds, so that no budget overrun or
+        late arrival moves; returns False otherwise, having done nothing.
+        After window 8 the team just parks: one idle-group ``Fork``.
+        """
+        ids = proc.robot_ids
+        if self.plan.frontier is None or len(ids) != len(self.imports) or len(ids) < 2:
+            return False
+        if self.i >= 8:
+            yield Fork([(ids[1:], _park)])
+            return True
+        start = self.plan.window_start(self.r, self.i + 1)
+        if not _hand_back_admissible(proc, self.corner, start):
+            return False
+        yield Fork([([x for x in ids if x != self.leader], _park)])
+        yield Wait(0.0)
+        yield Absorb(self.rest)
+        x, y = self.corner
+        yield TeamSweep(LatticeAxis([x]), [LatticeAxis([y])] * len(ids))
+        yield from self._next_window(proc, ())
+        return True
+
+    def _next_window(
+        self, proc: ProcessView, absorb: Sequence[int]
+    ) -> Generator[Action, Result, None]:
+        """The leader at the corner: absorb the team when the window opens
+        and run it."""
+        r, i = self.r, self.i
+        start = self.plan.window_start(r, i + 1)
+        _assert_on_time(proc, start, f"awave regroup round {r} window {i + 1}")
+        yield WaitUntil(start)
+        yield Wait(0.0)
+        if absorb:
+            yield Absorb(absorb)
+        yield from _window_step(proc, self.plan, r, self.cell, i + 1, self.imports)
+
+
+def _hand_back_admissible(proc: ProcessView, corner: Point, start: float) -> bool:
+    """Whether the team at ``proc`` may walk to ``corner`` as one team
+    sweep: the walk takes time, every robot clears its remaining budget by
+    ``BUDGET_MARGIN``, and the slowest arrives by ``start``."""
+    here = proc.position
+    length = math.hypot(here[0] - corner[0], here[1] - corner[1])
+    return (
+        length > EPS
+        and length < proc.min_remaining_budget - BUDGET_MARGIN
+        and proc.time + length / proc.speed <= start
+    )
+
+
+def _park(proc: ProcessView) -> Generator[Action, Result, None]:
+    """A process that ends at once: its robots idle where they stand."""
+    return
+    yield  # pragma: no cover - makes this function a generator
 
 
 def _assert_on_time(proc: ProcessView, deadline: float, label: str) -> None:

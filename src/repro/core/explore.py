@@ -15,7 +15,8 @@ points; the frontier-batched walk never does — it describes each
 stretch between hot stops as a :class:`~repro.sim.Sweep` over an index
 range of the lattice, which the engine charges from the memoized hops.
 A team whose strips are all cold needs no snapshot at all: its whole
-exploration is one :class:`~repro.sim.TeamSweep`, one run per strip.
+exploration is one :class:`~repro.sim.TeamSweep` of the strip family (the
+shared columns and one row axis per strip).
 
 Implemented as engine program fragments (``yield from``-able generators):
 
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Any, Dict, Generator, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable, Iterator
 
 from ..geometry import EPS, Point, Rect
 from ..sim import (
@@ -212,7 +213,7 @@ def explore_rect(
     report = ExplorationReport()
     if frontier is not None:
         run = _lattice_run(rect, arrive_at)
-        if _sweep_admissible(proc, run):
+        if _sweep_admissible(proc, lambda origin: [run.segment_lengths(origin)]):
             yield from _explore_batched(proc, run, frontier, report)
             return report
     for stop in exploration_stops(rect):
@@ -232,8 +233,12 @@ def _lattice_run(rect: Rect, arrive_at: Point | None) -> Sweep:
     return Sweep(xs, ys, 0, len(xs) * len(ys), arrive_at)
 
 
-def _sweep_admissible(proc: ProcessView, *runs: Sweep) -> bool:
-    """Whether each walk, from here, clears every robot's remaining budget.
+def _sweep_admissible(
+    proc: ProcessView, walks: Callable[[Point], Iterable[list[float]]]
+) -> bool:
+    """Whether each walk, from here, clears every robot's remaining budget;
+    ``walks`` maps the origin to each walk's segment lengths, and is only
+    called when the budget is finite.
 
     Sweeping must never move the point (or simulation time) at which an
     :class:`~repro.sim.errors.EnergyBudgetExceeded` fires; when the walk
@@ -243,11 +248,10 @@ def _sweep_admissible(proc: ProcessView, *runs: Sweep) -> bool:
     remaining = proc.min_remaining_budget
     if remaining == math.inf:
         return True
-    origin = proc.position
     # Sequential sums, as the per-stop walk adds them (never fsum / sum).
     return all(
-        reduce(add, run.segment_lengths(origin), 0.0) < remaining - BUDGET_MARGIN
-        for run in runs
+        reduce(add, lengths, 0.0) < remaining - BUDGET_MARGIN
+        for lengths in walks(proc.position)
     )
 
 
@@ -316,49 +320,63 @@ def explore_rect_team(
     When no strip's lattice can see a sleeper and the whole team clears
     its budget with the longest strip, the forked walks would each be one
     cold :class:`~repro.sim.Sweep` and report nothing: the team then
-    yields one :class:`~repro.sim.TeamSweep` of those runs instead, which
+    yields one :class:`~repro.sim.TeamSweep` of its strips instead, which
     the engine runs as the fork path observably (same odometers, arrival
     times, positions for observers and resume instant) in one event.
     """
     k = proc.team_size
     if k > 1 and frontier is not None:
-        runs = _cold_strip_runs(proc, rect.split_rows(k), meet_at, frontier)
-        if runs is not None:
-            yield TeamSweep(runs)
+        sweep = _cold_team_sweep(proc, rect, k, meet_at, frontier)
+        if sweep is not None:
+            yield sweep
             # The children's empty reports, merged: the planned stops.
-            return ExplorationReport(snapshots=sum(run.stop for run in runs))
+            return ExplorationReport(
+                snapshots=len(sweep.xs) * sum(len(ys) for ys in sweep.rows)
+            )
     report = yield from _explore_rect_team_forked(
         proc, rect, meet_at, barrier_key, frontier
     )
     return report
 
 
-def _cold_strip_runs(
+def _cold_team_sweep(
     proc: ProcessView,
-    strips: list[Rect],
+    rect: Rect,
+    k: int,
     meet_at: Point,
     frontier: "FrontierIndex",
-) -> list[Sweep] | None:
-    """One whole-lattice run to ``meet_at`` per strip, or None when a
-    strip may need a Look or a forked walk could differ from its run.
+) -> TeamSweep | None:
+    """The team sweep of ``rect``'s ``k`` strips to ``meet_at``, or None
+    when a strip may need a Look or a forked walk could differ from its
+    run.
 
     A strip needs no Look when its lattice bounds miss the frontier
-    (:func:`_hot_stops`'s early exit).  A forked walk is exactly its run
-    when the run clears the budget (:func:`_sweep_admissible`) and takes
-    time: a zero-length run would complete at the issue instant.
+    (:func:`_hot_stops`'s early exit); the whole family's bounds are
+    tested first, and each strip's only when those hit.  A forked walk is
+    exactly its run when the run clears the budget
+    (:func:`_sweep_admissible`) and takes time: a zero-length run would
+    complete at the issue instant.
     """
-    runs = []
+    xs = _axis_stops(rect.xmin, rect.xmax)
+    rows = [_axis_stops(strip.ymin, strip.ymax) for strip in rect.split_rows(k)]
+    cols = xs.stops
+    overlaps = frontier.rect_overlaps
+    if overlaps(cols[0], rows[0].stops[0], cols[-1], rows[-1].stops[-1]) and any(
+        overlaps(cols[0], ys.stops[0], cols[-1], ys.stops[-1]) for ys in rows
+    ):
+        return None
+    sweep = TeamSweep(xs, rows, meet_at)
     origin = proc.position
-    for strip in strips:
-        run = _lattice_run(strip, meet_at)
-        cols, rows = run.xs.stops, run.ys.stops
-        if frontier.rect_overlaps(cols[0], rows[0], cols[-1], rows[-1]):
-            return None
+    if len(cols) == 1 and any(
         # Only a one-stop lattice can be walked without moving.
-        if run.stop == 1 and max(run.segment_lengths(origin)) <= EPS:
-            return None
-        runs.append(run)
-    return runs if _sweep_admissible(proc, *runs) else None
+        len(ys) == 1 and max(sweep.lengths(i, origin)) <= EPS
+        for i, ys in enumerate(rows)
+    ):
+        return None
+    admissible = _sweep_admissible(
+        proc, lambda origin: (sweep.lengths(i, origin) for i in range(k))
+    )
+    return sweep if admissible else None
 
 
 def _explore_rect_team_forked(

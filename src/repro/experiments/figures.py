@@ -19,7 +19,6 @@ from ..instances import (
     Instance,
     adversarial_grid_instance,
     grid_of_disks,
-    uniform_disk,
 )
 from ..sim import SOURCE_ID, Engine, Trace, World
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "format_table",

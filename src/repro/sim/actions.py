@@ -235,14 +235,17 @@ class Sweep(Action):
 
 @dataclass(frozen=True)
 class TeamSweep(Action):
-    """Every owned robot walks its own lattice run; the team regroups where
-    the runs end, as ONE engine event.
+    """Every owned robot sweeps one strip of a lattice family; the team
+    regroups where the runs end, as ONE engine event.
 
-    ``runs`` holds one :class:`Sweep` per owned robot, in ``robot_ids``
-    order, all walked from the process's position and all ending at the
-    same point.  Each robot is charged its own run exactly as a lone
-    :class:`Sweep` at its own speed would charge it, and observers see it
-    where that sweep would put it.  The process resumes at the last
+    The strips share the columns ``xs``; robot ``i`` (in ``robot_ids``
+    order) sweeps the whole lattice ``xs`` x ``rows[i]`` from the process's
+    position, then walks to ``arrive_at`` when given — the :class:`Sweep`
+    :meth:`run` returns.  All runs must end at one point, and the strips
+    must be sorted by row: each strip's first and last rows no lower than
+    the previous strip's.  Each robot is charged its own run exactly as a
+    lone :class:`Sweep` at its own speed would charge it, and observers
+    see it where that sweep would put it.  The process resumes at the last
     arrival, at the meeting point, with every robot still owned.
 
     Observationally equivalent to forking one process per robot, sweeping
@@ -250,14 +253,44 @@ class TeamSweep(Action):
     the team back — the fork path of
     :func:`repro.core.explore.explore_rect_team` — minus the process
     starts, barrier releases and absorbs.  It has the same issue-time
-    budget asymmetry as :class:`Sweep`, so ``explore_rect_team`` only
-    issues it for a team that clears its budget with every run.
+    budget asymmetry as :class:`Sweep`, so callers only issue it for a
+    team that clears its budget with every run.
     """
 
-    runs: tuple[Sweep, ...]
+    xs: LatticeAxis
+    rows: tuple[LatticeAxis, ...]
+    arrive_at: Point | None = None
 
-    def __init__(self, runs: Sequence[Sweep]) -> None:
-        object.__setattr__(self, "runs", tuple(runs))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
+
+    def __len__(self) -> int:
+        """Number of strips, one per robot."""
+        return len(self.rows)
+
+    def run(self, i: int) -> Sweep:
+        """Robot ``i``'s run, as a lone :class:`Sweep`."""
+        ys = self.rows[i]
+        return Sweep(self.xs, ys, 0, len(self.xs) * len(ys), self.arrive_at)
+
+    def lengths(self, i: int, origin: Point) -> list[float]:
+        """``run(i).segment_lengths(origin)``, built from the memoized hops
+        of whole rows: the first hop, each row's hops and the hop up to
+        the next row, then the tail."""
+        xs, ys = self.xs, self.rows[i]
+        x0, y0 = xs.stops[0], ys.stops[0]
+        lengths = [math.hypot(origin[0] - x0, origin[1] - y0)]
+        forward, backward = xs.hops, xs.hops_reversed
+        for j, up in enumerate(ys.hops):
+            lengths += forward if j % 2 == 0 else backward
+            lengths.append(up)
+        last = len(ys) - 1
+        lengths += forward if last % 2 == 0 else backward
+        tail = self.arrive_at
+        if tail is not None:
+            x = xs.stops[-1] if last % 2 == 0 else x0
+            lengths.append(math.hypot(x - tail[0], ys.stops[-1] - tail[1]))
+        return lengths
 
 
 @dataclass(frozen=True)

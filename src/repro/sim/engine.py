@@ -27,17 +27,20 @@ trajectory.  A *site* holds everything stationary at one exact point
 (processes and idle robots, with a cached view tuple); a *convoy* holds the
 processes in flight on one identical straight segment.  A Look tests one
 distance per site and interpolates once per convoy, however large the
-cohorts.  A :class:`~repro.sim.actions.TeamSweep` puts each robot of a
-team in flight as a generator-less stand-in process on its own run, for one
-queue event per team.  A :class:`~repro.sim.actions.Tour` flies a process
-over its legs and waits as one piecewise path, for one queue event per
-walk; the processes that issue one tour object from one point at one
-instant and speed share a convoy and its timetable.  None of it changes
-what a robot sees or when: makespans, energies, cache keys and traces are
-pinned by ``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only
-lacks the process bookkeeping of the fork path it replaces, a Tour's has
-one ``move`` entry for its legs' entries), and every Look is checked
-against a brute-force oracle by ``tests/sim/test_look_oracle.py``.
+cohorts.  A :class:`~repro.sim.actions.TeamSweep` is one *flight*: every
+robot is charged its run in one pass over the shared lattice hops, the
+whole team is one padded box in the Look index, and a robot gets a
+generator-less stand-in process on its own run only when a Look lands
+where its run can be seen — one queue event per team.  A
+:class:`~repro.sim.actions.Tour` flies a process over its legs and waits
+as one piecewise path, for one queue event per walk; the processes that
+issue one tour object from one point at one instant and speed share a
+convoy and its timetable.  None of it changes what a robot sees or when:
+makespans, energies, cache keys and traces are pinned by
+``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only lacks the
+process bookkeeping of the fork path it replaces, a Tour's has one
+``move`` entry for its legs' entries), and every Look is checked against
+a brute-force oracle by ``tests/sim/test_look_oracle.py``.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add
+from operator import add, le, truediv
 from typing import Any, Callable, Dict, Generator, Sequence
 
 import numpy as _np
@@ -158,9 +161,9 @@ class _Process:
         # shares one list).  None while in plain segment mode.
         self.motion_path: Sweep | Tour | None = None
         self.motion_ends: list[float] | None = None
-        #: While a TeamSweep is in flight: one generator-less stand-in per
-        #: robot, each sweeping its own run in its own convoy.
-        self.flight: list[_Process] | None = None
+        #: While a TeamSweep is in flight: the flight Look finds its robots
+        #: through.
+        self.flight: _Flight | None = None
 
     def start_sweep(
         self,
@@ -557,19 +560,12 @@ class Engine:
             return None
         for rid in proc.robot_ids:
             robots[rid].odometer += length
-        self._unpark(proc)
-        self._look_cache.clear()
-        proc.state = "moving"
-        proc.motion_from = position
-        now = proc.motion_start = self.now
-        proc.motion_to = target
-        end = proc.motion_end = now + length / proc.speed
-        self._join_convoy(proc, _segment_key(position, target, now, end))
-        self._schedule(end, proc.pid, Result(end, None))
+        now = self.now
+        self._fly(proc, position, target, now, now + length / proc.speed)
         trace = self.trace
         if trace.enabled:
             trace.append(
-                self.now, "move", proc.pid,
+                now, "move", proc.pid,
                 {
                     "length": length, "to": target,
                     "waypoints": 1, "robots": len(proc.robot_ids),
@@ -577,20 +573,68 @@ class Engine:
             )
         return None
 
+    def _fly(
+        self, proc: _Process, position: Point, target: Point, now: float, end: float
+    ) -> None:
+        """Put ``proc`` in flight on the straight segment ``position ->
+        target`` over ``now..end``, in the convoy of that segment."""
+        self._unpark(proc)
+        self._look_cache.clear()
+        proc.state = "moving"
+        proc.motion_from = position
+        proc.motion_start = now
+        proc.motion_to = target
+        proc.motion_end = end
+        self._join_convoy(proc, _segment_key(position, target, now, end))
+        self._schedule(end, proc.pid, Result(end, None))
+
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
+        count = _check_run(action)
+        if count > 1:
+            return self._sweep_lattice(proc, action, count)
+        # One waypoint (most of an AWave run's sweeps: a hop between two
+        # hot stops, or the tail alone): Move's arithmetic — the same
+        # hypot, charge and ``now + length / speed`` — and Move's segment
+        # convoy, which interpolates as the lattice path does.  Like a
+        # lattice run, a sweep that takes no time completes at once and
+        # leaves no trace entry.
+        target = _run_end(action, 1)
+        position = proc.position
+        length = math.hypot(position[0] - target[0], position[1] - target[1])
+        robots = self.world.robots
+        _charge_checked([robots[rid] for rid in proc.robot_ids], (length,))
+        now = self.now
+        end = now + length / proc.speed if length > EPS else now
+        if end <= now:
+            self._reposition(proc, target)
+            self._schedule(now, proc.pid, Result(now, None))
+            proc.state = "waiting"
+            return None
+        self._fly(proc, position, target, now, end)
+        trace = self.trace
+        if trace.enabled:
+            trace.append(
+                now, "sweep", proc.pid,
+                {
+                    "length": length, "to": target,
+                    "waypoints": 1, "robots": len(proc.robot_ids),
+                },
+            )
+        return None
+
+    def _sweep_lattice(self, proc: _Process, action: Sweep, count: int) -> None:
         # A lattice run: observationally identical to one Move per
         # waypoint — same per-segment budget checks and odometer charges
         # (in the same float-op order), same sequential arrival-time
         # accumulation, same interpolated positions for observers — but
         # the queue sees a single event at the final arrival, and no
         # per-stop object is built.
-        count = _check_run(action)
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
         position = proc.position
         now = self.now
         lengths = action.segment_lengths(position)
-        ends = _charge_run(team, lengths, now, proc.speed)
+        ends = _ends(_charge(team, lengths), now, proc.speed)
         t = ends[-1]
         target = _run_end(action, count)
         if t <= now:
@@ -622,47 +666,44 @@ class Engine:
         # child process per robot sweeping its own run, a barrier where
         # the runs end, then ``Wait(0.0)`` and an absorb — as one event.
         # Each robot is charged its run at its own speed, as its child
-        # would be, and rides its own convoy as a stand-in process (no
-        # generator, not in ``_processes``), so Look finds it where it
-        # would find the child.
-        runs = action.runs
+        # would be, in one pass that builds nothing per stop or per robot;
+        # the team enters the Look index as one flight, which places a
+        # robot where its child would be only when a Look can see it.
         ids = proc.robot_ids
-        if len(runs) != len(ids):
+        if len(action) != len(ids):
             raise ProtocolError(
-                f"team sweep has {len(runs)} runs for {len(ids)} robots"
+                f"team sweep has {len(action)} runs for {len(ids)} robots"
             )
-        counts = [_check_run(run) for run in runs]
-        targets = [_run_end(run, count) for run, count in zip(runs, counts)]
-        meet = targets[0]
-        if any(target != meet for target in targets):
-            raise ProtocolError("team sweep runs must end at one point")
         robots = self.world.robots
+        team = [robots[rid] for rid in ids]
         position = proc.position
         now = self.now
+        flight = _Flight(proc.pid, action, team, position, now)
         trace = self.trace
-        flight: list[_Process] = []
+        strip_stops = len(action.xs)
+        tail = action.arrive_at is not None
         last = now
-        for rid, run, count, target in zip(ids, runs, counts, targets):
-            robot = robots[rid]
-            lengths = run.segment_lengths(position)
-            ends = _charge_run([robot], lengths, now, robot.speed)
-            member = _Process(proc.pid, None, [rid], position, robot.speed)
-            member.start_sweep(position, now, run, target, ends)
-            flight.append(member)
-            if ends[-1] > last:
-                last = ends[-1]
+        for i, robot in enumerate(team):
+            lengths = action.lengths(i, position)
+            charged = _charge((robot,), lengths)
+            speed = robot.speed
+            if speed != 1.0:
+                charged = map(truediv, charged, itertools.repeat(speed))
+            arrival = reduce(add, charged, now)
+            if arrival > last:
+                last = arrival
             if trace.enabled:
                 trace.append(
                     now, "sweep", proc.pid,
                     {
-                        "length": reduce(add, lengths, 0.0), "to": target,
-                        "waypoints": count, "robots": 1,
+                        "length": reduce(add, lengths, 0.0), "to": flight.meet,
+                        "waypoints": strip_stops * len(action.rows[i]) + tail,
+                        "robots": 1,
                     },
                 )
         self._unpark(proc)
         self._look_cache.clear()
-        for member in flight:
-            self._join_convoy(member, member)
+        self._index(flight)
         proc.state = "team"
         proc.flight = flight
         self._schedule(last, proc.pid, Result(last, _Step(partial(self._land_team, proc))))
@@ -672,9 +713,8 @@ class Engine:
         """The last robot of a team sweep arrived: regroup where the runs end."""
         flight = proc.flight
         proc.flight = None
-        for member in flight:
-            self._leave_convoy(member)
-        position = proc.position = flight[0].motion_to
+        self._unindex(flight)
+        position = proc.position = flight.meet
         robots = self.world.robots
         for rid in proc.robot_ids:
             robots[rid].position = position
@@ -831,10 +871,8 @@ class Engine:
     def _join_convoy(self, proc: _Process, key: Any) -> None:
         convoy = self._convoys.get(key)
         if convoy is None:
-            convoy = self._convoys[key] = _Convoy(key, proc)
-            movers = self._movers
-            if movers is not None:
-                movers.put(convoy, convoy.padded_bbox(self.visibility_radius))
+            convoy = _Convoy(key, proc)
+            self._index(convoy)
         else:
             convoy.members.append(proc)
         proc.convoy = convoy
@@ -844,12 +882,21 @@ class Engine:
         proc.convoy = None
         members = convoy.members
         members.remove(proc)
-        if members:
-            return
-        del self._convoys[convoy.key]
+        if not members:
+            self._unindex(convoy)
+
+    def _index(self, entry: _Convoy | _Flight) -> None:
+        """Enter a convoy or a flight in the Look index."""
+        self._convoys[entry.key] = entry
         movers = self._movers
         if movers is not None:
-            movers.discard(convoy)
+            movers.put(entry, entry.padded_bbox(self.visibility_radius))
+
+    def _unindex(self, entry: _Convoy | _Flight) -> None:
+        del self._convoys[entry.key]
+        movers = self._movers
+        if movers is not None:
+            movers.discard(entry)
             if len(self._convoys) < _MOVER_INDEX_OFF:
                 self._movers = None
 
@@ -862,14 +909,14 @@ class Engine:
     def _do_look(self, proc: _Process, action: Look | None = None) -> Result:
         center = proc.position
         trace = self.trace
-        # The (time, center) memo only pays off when several processes can
-        # observe the same spot at the same instant (co-located cohorts);
-        # a lone process never re-probes an identical key.
-        use_memo = len(self._processes) > 1
-        views = None
-        if use_memo:
-            cache_key = (self.now, center)
-            views = self._look_cache.get(cache_key)
+        # The (time, center) memo only pays off for co-located cohorts:
+        # a later Look from this point at this instant, with no world
+        # mutation in between, comes from a process already standing on
+        # this site (one that arrives, starts or forks here flushes the
+        # memo).  So a Look is stored only when another process stands
+        # here, and the memo is probed only when it holds something.
+        look_cache = self._look_cache
+        views = look_cache.get((self.now, center)) if look_cache else None
         if views is None:
             radius = self.visibility_radius
             build: list[RobotView] = []
@@ -931,6 +978,16 @@ class Engine:
                             convoy_hits.append(convoy)
                 now = self.now
                 for convoy in convoy_hits:
+                    if convoy.__class__ is _Flight:
+                        # A team sweep: probe the robots whose runs can
+                        # reach this point, each on its own stand-in.
+                        for member in convoy.near(cx, cy, radius):
+                            ox, oy = member.xy_at(now)
+                            if hyp(ox - cx, oy - cy) <= limit:
+                                build.append(
+                                    RobotView(member.robot_ids[0], Point(ox, oy), True)
+                                )
+                        continue
                     # Allocation-free probe (sweep bboxes admit many
                     # candidates); materialize the Point only on a hit.
                     ox, oy = convoy.members[0].xy_at(now)
@@ -944,8 +1001,8 @@ class Engine:
             # key-extraction pass (positions never get compared).
             build.sort()
             views = tuple(build)
-            if use_memo:
-                self._look_cache[cache_key] = views
+            if len(proc.site.procs) > 1:
+                look_cache[(self.now, center)] = views
         trace._look_count += 1  # counted even when looks are not kept
         if trace.keep_looks and trace.enabled:
             trace.append(
@@ -1200,6 +1257,106 @@ class _Convoy:
         return bbox
 
 
+class _Flight:
+    """A :class:`~repro.sim.actions.TeamSweep` in flight, as one entry of
+    the Look index: the padded bounds of every run.
+
+    A robot's stand-in — a generator-less process sweeping its run, with
+    its segment end times, not in ``_processes`` — is built only when a
+    Look lands where the robot's run can reach: within the visibility
+    radius of its strip's rows, of its first hop (from the origin up or
+    down to its strip) or of its tail (from its strip to the meeting
+    point).  The strips are sorted by row, so each of the three is a range
+    of strips found by bisection.
+    """
+
+    __slots__ = (
+        "key", "pid", "sweep", "team", "origin", "start", "meet", "lows",
+        "highs", "stand_ins", "bbox",
+    )
+
+    def __init__(
+        self, pid: int, sweep: TeamSweep, team: list, origin: Point, start: float
+    ) -> None:
+        self.key = self
+        self.pid = pid
+        self.sweep = sweep
+        self.team = team
+        self.origin = origin
+        self.start = start
+        cols, rows = sweep.xs.stops, sweep.rows
+        self.lows = lows = [ys.stops[0] for ys in rows]
+        self.highs = highs = [ys.stops[-1] for ys in rows]
+        if not (all(map(le, lows, lows[1:])) and all(map(le, highs, highs[1:]))):
+            raise ProtocolError("team sweep strips must be sorted by row")
+        meet = sweep.arrive_at
+        if meet is None:
+            # Each run ends on its strip's last stop: all must coincide.
+            ends = [(cols[-1] if len(ys) % 2 else cols[0], ys.stops[-1]) for ys in rows]
+            meet = ends[0]
+            if any(end != meet for end in ends):
+                raise ProtocolError("team sweep runs must end at one point")
+        self.meet = meet if type(meet) is Point else Point(*meet)
+        self.stand_ins: dict[int, _Process] = {}
+        self.bbox: tuple[float, float, float, float] | None = None
+
+    def padded_bbox(self, radius: float) -> tuple[float, float, float, float]:
+        """Bounds of every run expanded by ``radius``, built on first use."""
+        bbox = self.bbox
+        if bbox is None:
+            cols = self.sweep.xs.stops
+            xs = [cols[0], cols[-1], self.origin[0], self.meet[0]]
+            ys = [self.lows[0], self.highs[-1], self.origin[1], self.meet[1]]
+            pad = radius + 1e-9
+            bbox = self.bbox = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+        return bbox
+
+    def near(self, cx: float, cy: float, radius: float) -> list[_Process]:
+        """Stand-ins of the robots whose runs can reach ``(cx, cy)``."""
+        pad = radius + 1e-9
+        sweep = self.sweep
+        cols = sweep.xs.stops
+        lows, highs = self.lows, self.highs
+        spans = []
+        if cols[0] - pad <= cx <= cols[-1] + pad:
+            spans.append((bisect_left(highs, cy - pad), bisect_right(lows, cy + pad)))
+        ox, oy = self.origin
+        if min(ox, cols[0]) - pad <= cx <= max(ox, cols[0]) + pad:
+            spans.append(_fan(lows, oy, cy, pad))
+        tail = sweep.arrive_at
+        if tail is not None and min(tail[0], cols[0]) - pad <= cx <= max(tail[0], cols[-1]) + pad:
+            spans.append(_fan(highs, tail[1], cy, pad))
+        members = []
+        done = 0
+        for lo, hi in sorted(spans):
+            for i in range(max(lo, done), hi):
+                member = self.stand_ins.get(i)
+                if member is None:
+                    member = self.stand_ins[i] = self._stand_in(i)
+                members.append(member)
+            done = max(done, hi)
+        return members
+
+    def _stand_in(self, i: int) -> _Process:
+        """Robot ``i`` on its run, timed as the flight charged it."""
+        robot = self.team[i]
+        origin, speed = self.origin, robot.speed
+        member = _Process(self.pid, None, [robot.robot_id], origin, speed)
+        ends = _ends(_charged(self.sweep.lengths(i, origin)), self.start, speed)
+        member.start_sweep(origin, self.start, self.sweep.run(i), self.meet, ends)
+        return member
+
+
+def _fan(ends: list[float], hub: float, y: float, pad: float) -> tuple[int, int]:
+    """The strips whose hop between height ``hub`` and their own height in
+    ``ends`` (sorted) passes within ``pad`` of height ``y``."""
+    if y > hub + pad:
+        return bisect_left(ends, y - pad), len(ends)
+    if y < hub - pad:
+        return 0, bisect_right(ends, y + pad)
+    return 0, len(ends)
+
+
 def _tour_key(tour: Tour, origin: Point, start: float, speed: float) -> tuple:
     """Convoy key of ``tour`` flown from ``origin`` at ``start``, ``speed``.
 
@@ -1317,36 +1474,42 @@ def _run_end(run: Sweep, count: int) -> Point:
     return last if type(last) is Point else Point(*last)
 
 
-def _charge_run(team: list, lengths: list[float], now: float, speed: float) -> list[float]:
-    """Charge a run's segments to ``team`` moving at ``speed`` from ``now``.
-
-    Exactly what a chain of Moves charges, in the same float-op order.
-    Returns the per-segment arrival times.
-    """
+def _charge(team: Sequence, lengths: list[float]) -> list[float]:
+    """Charge a run's segments to ``team`` exactly as a chain of Moves
+    does, in the same float-op order; return the lengths as charged, for
+    :func:`_ends` to time."""
     if all(robot.budget == math.inf for robot in team):
         # The check can never fire against an infinite budget, so the
-        # charge runs at C speed.  Lattice hops exceed EPS; only the
-        # first and tail hops can be Move's zero-length teleports (no
-        # odometer charge, no elapsed time), and charging those as 0.0
-        # leaves every sum bit-identical (x + 0.0 == x).
-        charged = lengths
-        if lengths[0] <= EPS or lengths[-1] <= EPS:
-            charged = [length if length > EPS else 0.0 for length in lengths]
+        # charge runs at C speed.
+        charged = _charged(lengths)
         for robot in team:
             robot.odometer = reduce(add, charged, robot.odometer)
-        if speed != 1.0:
-            charged = [length / speed for length in charged]
-        ends = list(itertools.accumulate(charged, initial=now))
-        del ends[0]
-        return ends
-    # Budget-bound: the Move chain's check-then-charge, then the times.
+        return charged
+    # Budget-bound: the Move chain's check-then-charge.
     _charge_checked(team, lengths)
-    t = now
-    ends: list[float] = []
-    for length in lengths:
-        if length > EPS:
-            t = t + length / speed
-        ends.append(t)
+    return _charged(lengths)
+
+
+def _charged(lengths: list[float]) -> list[float]:
+    """A run's segment lengths as a Move chain charges and times them.
+
+    Lattice hops exceed EPS; only the first and tail hops can be Move's
+    zero-length teleports (no odometer charge, no elapsed time), and
+    charging those as 0.0 leaves every sum bit-identical (x + 0.0 == x).
+    """
+    if lengths[0] <= EPS or lengths[-1] <= EPS:
+        return [length if length > EPS else 0.0 for length in lengths]
+    return lengths
+
+
+def _ends(charged: list[float], now: float, speed: float) -> list[float]:
+    """Per-segment arrival times of charged lengths walked at ``speed``
+    from ``now``: each adds ``length / speed`` in turn, as a Move chain's
+    arrivals do."""
+    if speed != 1.0:
+        charged = [length / speed for length in charged]
+    ends = list(itertools.accumulate(charged, initial=now))
+    del ends[0]
     return ends
 
 

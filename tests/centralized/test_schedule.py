@@ -1,7 +1,5 @@
 """WakeupSchedule structure, evaluation, and validation."""
 
-import math
-
 import pytest
 
 from repro.centralized import ROOT, WakeupSchedule

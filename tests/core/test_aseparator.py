@@ -1,7 +1,5 @@
 """ASeparator integration: full wake-up, phase structure, makespan shape."""
 
-import math
-
 import pytest
 
 from repro.core.runner import run_aseparator

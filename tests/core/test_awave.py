@@ -1,7 +1,5 @@
 """AWave integration: single-cell and multi-cell waves, energy budget."""
 
-import math
-
 import pytest
 
 from repro.core.awave import (

@@ -1,9 +1,6 @@
 """DFSampling (Lemma 5): sampling validity, recruitment, coverage."""
 
-import math
 import random
-
-import pytest
 
 from repro.core import TeamKnowledge, dfsampling
 from repro.geometry import (

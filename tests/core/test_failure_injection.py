@@ -6,23 +6,19 @@ runaway compute loops raise.  These tests inject each fault and assert the
 loud failure (and that the world state remains diagnosable).
 """
 
-import math
-
 import pytest
 
-from repro.core.runner import run_agrid, run_aseparator
+from repro.core.runner import run_agrid
 from repro.geometry import Point
 from repro.instances import beaded_path, uniform_disk
 from repro.sim import (
     Annotate,
     Engine,
     EnergyBudgetExceeded,
-    Look,
     Move,
     ProtocolError,
     RunawayProcessError,
     SOURCE_ID,
-    SimulationDeadlock,
     Wait,
     World,
 )

@@ -1,11 +1,8 @@
 """Section 5: constant-approximation of rho_star from ell only."""
 
-import math
-
 import pytest
 
 from repro.core.radius_estimation import RadiusEstimate, radius_estimation_program
-from repro.geometry import Point
 from repro.instances import beaded_path, uniform_disk
 from repro.sim import Engine, SOURCE_ID
 

@@ -1,7 +1,5 @@
 """Runner entry points: defaults, budget enforcement, trace pass-through."""
 
-import math
-
 import pytest
 
 from repro.core.runner import AlgorithmRun, run_agrid, run_aseparator, run_awave

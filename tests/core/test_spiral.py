@@ -2,18 +2,15 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spiral import (
-    SpiralFind,
     spiral_search,
     spiral_stops,
     spiral_time_bound,
 )
 from repro.geometry import Point, distance
-from repro.instances import Instance
 from repro.sim import Engine, SOURCE_ID, World
 
 coords = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)

@@ -1,9 +1,6 @@
 """Experiment harness: every table/figure function produces sane rows."""
 
-import math
 from pathlib import Path
-
-import pytest
 
 from repro.experiments import (
     agrid_xi_sweep,
@@ -16,7 +13,6 @@ from repro.experiments import (
     lower_bound_experiment,
     phase_durations_by_label,
     phase_timeline,
-    print_table,
     write_csv,
 )
 from repro.instances import uniform_disk

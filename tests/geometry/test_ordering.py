@@ -9,7 +9,6 @@ from repro.geometry import (
     Rect,
     boundary_parameter,
     distance,
-    l1_distance,
     sort_seeds,
 )
 

@@ -7,7 +7,6 @@ Prop 1: ``0 < ell* <= rho* <= xi_ell <= n * ell*`` for every instance and
 
 import math
 
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 

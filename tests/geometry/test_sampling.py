@@ -1,8 +1,5 @@
 """ell-samplings: pairwise spacing, covering, Lemma 4 cardinality."""
 
-import math
-
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

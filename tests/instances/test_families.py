@@ -1,10 +1,7 @@
 """Workload generators: sizes, reproducibility, advertised structure."""
 
-import math
-
 import pytest
 
-from repro.geometry import Point, distance
 from repro.instances import (
     annulus,
     beaded_path,

@@ -1,7 +1,5 @@
 """Engine fundamentals: motion, time, snapshots, waking."""
 
-import math
-
 import pytest
 
 from repro.geometry import Point

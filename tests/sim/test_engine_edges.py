@@ -1,8 +1,6 @@
 """Engine edge cases: visibility boundaries, barrier reuse, mid-flight
 interpolation, spawn validation, unknown actions."""
 
-import math
-
 import pytest
 
 from repro.geometry import Point

@@ -1,7 +1,5 @@
 """Property-based engine invariants: conservation laws of the model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from repro.sim import (
     Look,
     Move,
     SOURCE_ID,
-    Wait,
     Wake,
     World,
 )

@@ -96,7 +96,8 @@ def _in_flight(engine):
     kinds = set()
     for proc in engine._processes.values():
         if proc.flight is not None:
-            kinds.add("TeamSweep")
+            # AWave's hand-back is the one team sweep with no tail.
+            kinds.add("TeamSweep" if proc.flight.sweep.arrive_at else "hand-back")
         elif proc.state == "moving" and proc.motion_path is not None:
             kinds.add(type(proc.motion_path).__name__)
     return kinds
@@ -126,10 +127,11 @@ def _run_algorithm(algorithm, instance, params, stops=()):
 #: one-event motion it names, whatever pauses are spread around it.
 _MOTION_RUNS = [
     # AWave's frontier walk: the source's first lattice run flies over
-    # [0, 21.04]; the first cold team explorations over [30213, 30647].
+    # [0, 21.04]; the first cold team explorations over [30213, 30647];
+    # the first all-import hand-back leaves at 31621.8, as one flight.
     (
         "awave", uniform_disk(n=50, rho=10.0, seed=2), {"ell": 2},
-        {10.0: "Sweep", 30400.0: "TeamSweep"},
+        {10.0: "Sweep", 30400.0: "TeamSweep", 31650.0: "hand-back"},
     ),
     # AGrid (ell=4, window W ~ 261.3): round 1's followers fly their eight
     # windows as one Tour over [W, 9 W].

@@ -11,7 +11,8 @@ observable behavior, not just speed.
 Two kinds of change have re-pinned a digest while its makespan and energy
 pins stayed put, each checked against the trace it replaced.  When a cold
 AWave team exploration became one ``TeamSweep``, the ``awave`` digest lost
-the exploration's process bookkeeping (see the note on its row).  When an
+the exploration's process bookkeeping (see the note on its row), and again
+when its all-import hand-back became one team sweep.  When an
 AGrid follower began walking its eight windows as one ``Tour``, the
 ``agrid`` digest and the crash-scenario digest (also an AGrid run) changed
 in exactly one way: each follower's eight per-leg ``move`` entries became
@@ -68,6 +69,15 @@ GOLDEN_RUNS = [
     # the fork, barrier, absorb and child process start/end entries of
     # those explorations, and the ordered wake/look/move/phase stream and
     # the multiset of sweep (time, length, waypoints) entries are unchanged.
+    # It was regenerated again when AWave's all-import hand-back became one
+    # team sweep (digest 2381879e... before; the team hand-back refused,
+    # the run still reproduces it): the 392 per-import process start/end
+    # pairs are gone, the 357 per-import ``move`` entries are ``sweep``
+    # entries of the same time, length and waypoints, each hand-back's
+    # fork starts one idle group instead of one process per import, its
+    # absorb (the same robots in the same order) comes at the hand-back
+    # instead of at the next window start, and the ordered
+    # look/wake/phase/barrier stream is unchanged.
     (
         "legacy_awave", "uniform_disk", {"n": 50, "rho": 10.0, "seed": 2}, {"ell": 2},
         "10da75eecbbbf0b477cead29fddbc71128227a7acb2b94b1eb20153bd7252a18",
@@ -75,7 +85,7 @@ GOLDEN_RUNS = [
     ),
     (
         "awave", "uniform_disk", {"n": 50, "rho": 10.0, "seed": 2}, {"ell": 2},
-        "2381879e3eee967200b51f1f4f45bab5370c4ea9509f68d0690a19882d4a4c26",
+        "b05c5d31be635952626a95810706147e8e5b61a4c93dbae9cc47a96609e7e842",
         1020.9923200513895, 716525.0280188909,
     ),
 ]

@@ -3,8 +3,9 @@
 A snapshot must list exactly the robots within ``radius + EPS`` of the
 observer: each live process's robots at its ``position_at(now)``, each
 idle robot at its parked position, each sleeper at its home.  A team in a
-``TeamSweep`` is placed robot by robot from the runs its script issued,
-walked as a chain of Moves, and a process on a ``Tour`` from its legs,
+``TeamSweep`` is placed robot by robot from the strip runs its script
+issued, walked as a chain of Moves (posts Look at random instants inside
+such flights), and a process on a ``Tour`` from its legs,
 walked as a chain of Moves and WaitUntils.  The oracle compares ids,
 awake flags and coordinate bits (``float.hex``, so ``-0.0`` and ``0.0``
 differ).  The programs are random scripts over every action the engine
@@ -72,6 +73,19 @@ SLEEPER_SPOTS = (
 XS = LatticeAxis([0.0, 0.75, 1.5])
 YS = LatticeAxis([-0.5, 0.5, 1.5])
 LATTICE = len(XS) * len(YS)
+#: Team-sweep columns: three, or one on the palette's ``x = 0`` points.
+TEAM_COLS = (XS, LatticeAxis([0.0]))
+#: Strip rows, sorted by first and by last row, so any non-decreasing
+#: choice of them is a valid strip family.  Rows at 0 and 1 put strip
+#: ends on palette points: zero-length first hops and tails.
+STRIPS = (
+    LatticeAxis([-0.5]),
+    LatticeAxis([0.0]),
+    LatticeAxis([0.0, 1.0]),
+    LatticeAxis([1.0]),
+    LatticeAxis([1.0, 2.0]),
+    LatticeAxis([2.0]),
+)
 
 spot = st.integers(0, len(PALETTE) - 1)
 leaf_ops = st.one_of(
@@ -86,16 +100,14 @@ leaf_ops = st.one_of(
         st.integers(1, LATTICE),
         st.one_of(st.none(), spot),
     ),
-    # Every robot of the team walks its own range (ranges repeat when the
-    # team outnumbers them), and all meet at the tail.
+    # Every robot of the team sweeps one strip of a family (strips repeat
+    # when the team outnumbers them), and all meet at the tail; with no
+    # tail, every robot walks the first strip to its end.
     st.tuples(
         st.just("team"),
-        st.lists(
-            st.tuples(st.integers(0, LATTICE - 1), st.integers(1, LATTICE)),
-            min_size=1,
-            max_size=3,
-        ),
-        spot,
+        st.integers(0, len(TEAM_COLS) - 1),
+        st.lists(st.integers(0, len(STRIPS) - 1), min_size=1, max_size=3),
+        st.one_of(st.none(), spot),
     ),
     # A tour's legs: a corner and the whole time to wait there until.
     st.tuples(
@@ -230,17 +242,18 @@ def oracle(engine, world, center, flights):
 class Run:
     """One random multi-process run whose every Look is oracle-checked."""
 
-    def __init__(self, sleepers, team_specs, crowd, config, slow=()):
+    def __init__(self, sleepers, team_specs, crowd, config, slow=(), watchers=()):
         homes = [PALETTE[at] for at, size, _ in team_specs for _ in range(size)]
         crowd_homes = [Point(-2.0 + 0.125 * j, 0.25) for j in range(crowd)]
+        posts = [PALETTE[at] for at, _ in watchers]
         self.world = World(
             source=Point(0.0, 0.0),
-            positions=homes + crowd_homes + [SLEEPER_SPOTS[s] for s in sleepers],
+            positions=homes + crowd_homes + posts + [SLEEPER_SPOTS[s] for s in sleepers],
             config=config,
         )
         self.engine = Engine(self.world)
         self.sleeper_ids = {
-            s: len(homes) + crowd + 1 + i for i, s in enumerate(sleepers)
+            s: len(homes) + crowd + len(posts) + 1 + i for i, s in enumerate(sleepers)
         }
         self.keys = itertools.count()
         self.looks = 0
@@ -263,6 +276,11 @@ class Run:
             walk = [("move", j % len(PALETTE)), ("until", 3.0),
                     ("move", (j + 3) % len(PALETTE))]
             self.engine.spawn(self.script(walk), [rid])
+            rid += 1
+        for _at, times in watchers:
+            # A post that Looks at each of ``times``, wherever they fall.
+            self.world.mark_awake(rid, 0.0, None)
+            self.engine.spawn(self.script([("until", t) for t in sorted(times)]), [rid])
             rid += 1
 
     def check(self):
@@ -314,7 +332,7 @@ class Run:
             if start < stop or tail is not None:
                 yield Sweep(XS, YS, start, stop, None if tail is None else PALETTE[tail])
         elif kind == "team":
-            yield from self.team(proc, op[1], PALETTE[op[2]])
+            yield from self.team(proc, op[1], op[2], op[3])
         elif kind == "until":
             yield WaitUntil(op[1])
         elif kind == "wait":
@@ -379,22 +397,29 @@ class Run:
         if idle:
             yield Absorb(idle)
 
-    def team(self, proc, ranges, tail):
-        """One TeamSweep: robot ``i`` walks ``ranges[i % len(ranges)]``."""
-        runs, members = [], []
+    def team(self, proc, cols, strips, tail):
+        """One TeamSweep over columns ``TEAM_COLS[cols]``: robot ``i``
+        sweeps strip ``STRIPS[strips[i % len(strips)]]`` (in sorted order)
+        and walks to ``PALETTE[tail]``; with no tail, every robot sweeps
+        the first strip and ends where it does."""
+        k = len(proc.robot_ids)
+        if tail is None:
+            rows = [STRIPS[strips[0]]] * k
+        else:
+            rows = [STRIPS[j] for j in sorted(strips[i % len(strips)] for i in range(k))]
+        sweep = TeamSweep(TEAM_COLS[cols], rows, None if tail is None else PALETTE[tail])
+        members = []
         for i, rid in enumerate(proc.robot_ids):
-            start, stop = ranges[i % len(ranges)]
-            run = Sweep(XS, YS, start, max(start, stop), tail)
-            runs.append(run)
+            run = sweep.run(i)
             waypoints = [Point(*run.waypoint(j)) for j in range(len(run))]
             walker = partial(
                 chain_at, proc.position, waypoints, self.world.robots[rid].speed, proc.time
             )
             members.append((rid, walker))
         self.flights[proc.pid] = members
-        yield TeamSweep(runs)
+        yield sweep
         del self.flights[proc.pid]
-        assert proc.position == tail
+        assert proc.position == waypoints[-1]
 
     def cohort(self, proc, target):
         """Split the team; every member makes the same Move at the same
@@ -433,7 +458,7 @@ SIGNED_ZERO_TEAMS = [
 TEAM_SWEEP_WATCH = [
     # Robots 1 and 2 leave (0, 0) at t=1, each through (0, -0.5) to meet
     # at (2, 1): robot 1 arrives at t=4, slow robot 2 at t=7, the release.
-    (0, 2, [("until", 1.0), ("team", [(0, 1)], 3)]),
+    (0, 2, [("until", 1.0), ("team", 1, [0], 3)]),
     # Looks at the issue instant (from the team's origin), then from the
     # meeting point at robot 1's arrival, between the two arrivals, and
     # three times at the release instant, after the landing event.
@@ -456,6 +481,25 @@ TOUR_WATCH = [
     (5, 1, [("until", 1.0), ("until", 3.0), ("until", 4.5), ("until", 5.0),
             ("until", 6.0), ("wait", 0.0), ("until", 7.0), ("until", 7.5)]),
 ]
+
+
+#: A team that waits for t=1 and issues one team sweep.
+flight_teams = st.tuples(
+    spot,
+    st.integers(2, 4),
+    st.tuples(
+        st.just("team"),
+        st.integers(0, len(TEAM_COLS) - 1),
+        st.lists(st.integers(0, len(STRIPS) - 1), min_size=1, max_size=3),
+        st.one_of(st.none(), spot),
+    ).map(lambda op: [("until", 1.0), op]),
+)
+#: Posts that Look at random instants, most of them inside the flights.
+posts = st.lists(
+    st.tuples(spot, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5)),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestLookOracle:
@@ -532,6 +576,42 @@ class TestLookOracle:
         assert all(
             run.world.robots[rid].crashed for rid in run.sleeper_ids.values()
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        team_specs=st.lists(flight_teams, min_size=1, max_size=2),
+        watchers=posts,
+        slow=st.sets(st.integers(1, 8), max_size=3),
+    )
+    @example(  # one-row strips; Looks at the flight's origin and beside a row
+        team_specs=[(0, 4, [("until", 1.0), ("team", 0, [0, 1, 3, 5], 8)])],
+        watchers=[(0, [1.0, 1.2, 1.7]), (6, [1.5, 2.5]), (7, [1.1, 3.0])],
+        slow=set(),
+    )
+    @example(  # multi-row strips, slow members, zero first hop and tail
+        team_specs=[(2, 3, [("until", 1.0), ("team", 1, [2, 3, 4], 2)])],
+        watchers=[(2, [1.0, 2.5, 4.0]), (5, [1.5, 3.5, 6.0]), (1, [2.0, 7.0])],
+        slow={2, 3},
+    )
+    @example(  # no tail: every robot walks one stop, as AWave hands back
+        team_specs=[(8, 3, [("until", 1.0), ("team", 1, [3], None)])],
+        watchers=[(8, [1.0, 2.0]), (5, [3.5, 4.0, 6.0])],
+        slow={1},
+    )
+    def test_looks_inside_team_sweeps_match_the_oracle(self, team_specs, watchers, slow):
+        run = Run([], team_specs, 0, WorldConfig(), slow, watchers)
+        run.check()
+        assert run.looks > 0
+
+    def test_team_sweep_builds_only_the_stand_ins_a_look_can_see(self):
+        """A Look below the flight meets only the bottom strip's run: one
+        stand-in is built, the other three robots are never placed."""
+        team = [(0, 4, [("until", 1.0), ("team", 0, [0, 1, 3, 5], 8)])]
+        run = Run([], team, 0, WorldConfig(), watchers=[(7, [1.5])])
+        run.engine.run(until=1.5)
+        (flight,) = [p.flight for p in run.engine._processes.values() if p.flight]
+        assert list(flight.stand_ins) == [0]
+        run.check()
 
     def test_team_sweep_is_seen_at_issue_arrival_and_release(self):
         """The watch example lands its Looks where it claims to."""

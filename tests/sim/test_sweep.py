@@ -10,6 +10,7 @@ single queue event and building no per-stop point.
 """
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +29,8 @@ from repro.sim import (
     WaitUntil,
     World,
 )
+from repro.sim import engine as engine_module
+from repro.sim.engine import _check_run
 from repro.sim.errors import EnergyBudgetExceeded, ProtocolError
 
 
@@ -177,19 +180,25 @@ class TestSweepEdges:
 
     def test_team_sweep_needs_one_run_per_robot(self):
         with pytest.raises(ProtocolError):
-            run_single(TeamSweep([RUN]), team=(SOURCE_ID, 1))
+            run_single(TeamSweep(XS, [YS]), team=(SOURCE_ID, 1))
 
     def test_team_sweep_runs_must_meet(self):
-        apart = Sweep(XS, YS, 0, 2, Point(1.0, 3.0))
+        """Without a tail, each run ends on its strip's last stop."""
+        apart = TeamSweep(XS, [LatticeAxis([0.25]), LatticeAxis([1.25])])
         with pytest.raises(ProtocolError):
-            run_single(TeamSweep([RUN, apart]), team=(SOURCE_ID, 1))
+            run_single(apart, team=(SOURCE_ID, 1))
+
+    def test_team_sweep_strips_must_be_sorted_by_row(self):
+        for rows in ([YS, LatticeAxis([0.25])], [LatticeAxis([1.25]), LatticeAxis([0.25])]):
+            with pytest.raises(ProtocolError, match="sorted"):
+                run_single(TeamSweep(XS, rows, RUN.arrive_at), team=(SOURCE_ID, 1))
 
     def test_team_sweep_is_one_event_per_team(self):
         """Both robots walk their own run; the team resumes once, at the
         later arrival, after two same-instant hops."""
-        short = Sweep(XS, YS, 0, 1, RUN.arrive_at)
-        result, seen = run_single(TeamSweep([RUN, short]), team=(SOURCE_ID, 1))
-        walked = [sum(run.segment_lengths(Point(0, 0))) for run in (RUN, short)]
+        sweep = TeamSweep(XS, [LatticeAxis([0.25]), YS], RUN.arrive_at)
+        result, seen = run_single(sweep, team=(SOURCE_ID, 1))
+        walked = [sum(sweep.run(i).segment_lengths(Point(0, 0))) for i in range(2)]
         assert result.events_processed == 1 + 1 + 2
         assert seen["time"] == pytest.approx(max(walked))
         assert result.total_energy == pytest.approx(sum(walked))
@@ -420,3 +429,196 @@ class TestLatticeRunProperty:
         assert sweep["error"] == moves["error"]
         # The segments before the overrun are charged, on both paths.
         assert sweep["odometers"] == moves["odometers"] == [odometer] * team
+
+
+# -- property: a one-waypoint sweep is its lattice run ------------------------
+
+
+def _lattice_path(engine, proc, action):
+    """The engine's general lattice-run handler, whatever the run's size."""
+    return engine._sweep_lattice(proc, action, _check_run(action))
+
+
+@st.composite
+def one_waypoint_runs(draw):
+    """A one-waypoint run — a lone lattice stop, or the tail alone — and
+    the origin it is walked from."""
+    xs, ys = draw(axes()), draw(axes())
+    size = len(xs) * len(ys)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, size - 1))
+        run = Sweep(xs, ys, k, k + 1)
+    else:
+        k = draw(st.integers(0, size))
+        run = Sweep(xs, ys, k, k, Point(draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0))))
+    (target,) = move_chain(run)
+    origin = draw(
+        st.sampled_from([
+            target,                                     # zero-length
+            Point(target[0], target[1] - 0.6 * EPS),    # <= EPS: a teleport
+            Point(target[0] - 3.0, target[1] + 2.0),
+            Point(-target[0], 0.0),
+        ])
+    )
+    return run, origin
+
+
+class TestOneWaypointSweep:
+    """A one-waypoint ``Sweep`` takes Move's arithmetic, pinned to the
+    lattice path it replaces: the same end, odometers (bits), sightings,
+    budget overrun and ``sweep`` trace entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=one_waypoint_runs(),
+        speed=st.sampled_from([1.0, 0.7, 0.3]),
+        team=st.integers(1, 2),
+        budget=st.sampled_from(["unbounded", "ample", "short"]),
+        fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+        probe_offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    def test_matches_the_lattice_path(self, case, speed, team, budget, fractions, probe_offset):
+        run, origin = case
+        (target,) = move_chain(run)
+        length = math.hypot(origin[0] - target[0], origin[1] - target[1])
+        limit = {"unbounded": math.inf, "ample": 1e6, "short": 0.5 * length}[budget]
+        # Sightings strictly inside the walk, while the walker is live.
+        times = sorted({f * length / speed for f in fractions}) if length > EPS else []
+        probe_at = Point(target[0] + probe_offset[0], target[1] + probe_offset[1])
+        kwargs = dict(speed=speed, team=team, budget=limit, probe_at=probe_at, times=times)
+        hop = walk(run, origin, use_sweep=True, **kwargs)
+        with patch.dict(engine_module._HANDLERS, {Sweep: _lattice_path}):
+            lattice = walk(run, origin, use_sweep=True, **kwargs)
+        assert hop.get("error") == lattice.get("error")
+        assert [o.hex() for o in hop["odometers"]] == [o.hex() for o in lattice["odometers"]]
+        assert hop.get("end") == lattice.get("end")
+        assert hop["samples"] == lattice["samples"]
+        if "result" in hop:
+            a, b = hop["result"], lattice["result"]
+            assert a.termination_time == b.termination_time
+            assert a.events_processed == b.events_processed
+            assert [
+                (e.time, e.kind, e.data) for e in a.trace.events if e.kind == "sweep"
+            ] == [(e.time, e.kind, e.data) for e in b.trace.events if e.kind == "sweep"]
+
+
+# -- property: a team sweep's robots are their lone sweeps --------------------
+
+
+@st.composite
+def strip_families(draw):
+    """A TeamSweep of 1..5 sorted strips and the origin it is issued from."""
+    xs = draw(axes())
+    rows, y = [], draw(st.floats(-20.0, 20.0))
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[-1])  # the same strip again
+            continue
+        stops = [y]
+        for gap in draw(st.lists(st.floats(0.71, 1.42), max_size=2)):
+            stops.append(stops[-1] + gap)
+        rows.append(LatticeAxis(stops))
+        y = stops[-1] + draw(st.floats(0.1, 1.42))
+    end = TeamSweep(xs, rows[:1]).run(0).waypoint(len(xs) * len(rows[0]) - 1)
+    tail_kind = draw(st.sampled_from(["none", "far", "repeat", "tiny"]))
+    if tail_kind == "none":
+        rows = [rows[0]] * len(rows)  # no tail: every strip must end alike
+        tail = None
+    elif tail_kind == "far":
+        tail = Point(draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0)))
+    elif tail_kind == "repeat":
+        tail = Point(*end)
+    else:
+        tail = Point(end[0] + 0.4 * EPS, end[1])
+    sweep = TeamSweep(xs, rows, tail)
+    first = sweep.run(0).waypoint(0)
+    origin = draw(
+        st.sampled_from([
+            Point(*first),                               # first hop 0
+            Point(first[0], first[1] - 0.6 * EPS),       # first hop <= EPS
+            Point(first[0] - 3.0, first[1] + 2.0),
+        ])
+    )
+    return sweep, origin
+
+
+def fly(sweep, origin, speeds, budgets, *, team):
+    """Issue ``sweep`` at t=0 — as one team, or as one lone ``Sweep`` of
+    each robot's run — and stop there; returns the engine, world and
+    each robot's mover (a flight's stand-in or the lone process)."""
+    k = len(speeds)
+    world = World(source=origin, positions=[origin] * (k - 1))
+    for rid, speed, budget in zip(range(k), speeds, budgets):
+        if rid:
+            world.mark_awake(rid, 0.0, None)
+        world.robots[rid].speed = speed
+        world.robots[rid].budget = budget
+    engine = Engine(world)
+    out = {}
+
+    def program(proc):
+        yield sweep
+        out["resumed"] = proc.time
+
+    def lone(i):
+        def program(proc):
+            yield sweep.run(i)
+
+        return program
+
+    if team:
+        procs = [engine._processes[engine.spawn(program, list(range(k)))]]
+    else:
+        procs = [engine._processes[engine.spawn(lone(i), [i])] for i in range(k)]
+    try:
+        engine.run(until=0.0)
+    except EnergyBudgetExceeded as err:
+        return engine, world, (err.robot_id, err.attempted, err.budget), out
+    if team:
+        movers = [procs[0].flight._stand_in(i) for i in range(k)]
+    else:
+        movers = procs  # a lone walk of no length is over, at its end
+    return engine, world, movers, out
+
+
+class TestTeamSweepFlight:
+    """A flight charges each robot in one pass and builds its stand-in
+    only when looked for: odometers, arrivals and positions must be the
+    lone sweeps' own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=strip_families(),
+        speeds=st.lists(st.sampled_from([1.0, 0.7, 0.3]), min_size=5, max_size=5),
+        budget=st.sampled_from(["unbounded", "ample", "short"]),
+        fractions=st.lists(st.floats(0.0, 1.1), min_size=1, max_size=6),
+    )
+    def test_members_match_lone_sweeps(self, case, speeds, budget, fractions):
+        sweep, origin = case
+        k = len(sweep)
+        speeds = speeds[:k]
+        walks = [sum(sweep.run(i).segment_lengths(origin)) for i in range(k)]
+        # A walk of only teleports ends the flight at its issue instant.
+        assume(max(walks) > 2 * EPS)
+        budgets = [{"unbounded": math.inf, "ample": 1e6, "short": 0.5 * w}[budget] for w in walks]
+        for i in range(k):
+            assert sweep.lengths(i, origin) == sweep.run(i).segment_lengths(origin)
+        team_engine, team_world, team, out = fly(sweep, origin, speeds, budgets, team=True)
+        lone_engine, lone_world, lone, _ = fly(sweep, origin, speeds, budgets, team=False)
+        odometers = [
+            [w.robots[rid].odometer.hex() for rid in range(k)] for w in (team_world, lone_world)
+        ]
+        assert odometers[0] == odometers[1]
+        if isinstance(lone, tuple):
+            assert team == lone  # the same overrun, raised at the issue instant
+            return
+        arrivals = [m.motion_end for m in lone]
+        assert [m.motion_end for m in team] == arrivals
+        for t in sorted({f * max(arrivals) for f in fractions}):
+            assert [m.xy_at(t) for m in team] == [m.xy_at(t) for m in lone]
+        team_engine.run()
+        lone_engine.run()
+        assert out["resumed"] == max(arrivals) == lone_engine.now
+        assert [team_world.robots[rid].position for rid in range(k)] == [
+            lone_world.robots[rid].position for rid in range(k)
+        ]
