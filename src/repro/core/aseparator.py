@@ -50,7 +50,7 @@ from .wakeup import AfterFactory, execute_wake_plan, plan_from_schedule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..geometry import FrontierIndex
 
-__all__ = ["SeparatorContext", "aseparator_program", "embedded_entry"]
+__all__ = ["SeparatorContext", "aseparator_program", "embedded_entry", "idle"]
 
 
 #: Signature of a centralized solver usable for terminations: it receives
@@ -438,11 +438,10 @@ def _release_program(ctx: SeparatorContext, robot_id: int) -> Program:
     """Program for a robot leaving the run (import hand-back or recruit
     continuation); defaults to idling in place."""
     cont = ctx.continuation_for(robot_id)
-    if cont is not None:
-        return cont
+    return idle if cont is None else cont
 
-    def idle(proc: ProcessView) -> Generator[Action, Result, None]:
-        return
-        yield  # pragma: no cover - makes this function a generator
 
-    return idle
+def idle(proc: ProcessView) -> Generator[Action, Result, None]:
+    """A program that ends at once: its robots idle where they stand."""
+    return
+    yield  # pragma: no cover - makes this function a generator

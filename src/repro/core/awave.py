@@ -57,7 +57,7 @@ from ..sim.actions import Action, Program
 from ..sim.engine import ProcessView
 from ..sim.errors import ProtocolError
 from .agrid import CellGrid, Cell
-from .aseparator import SeparatorContext, aseparator_program, embedded_entry
+from .aseparator import SeparatorContext, aseparator_program, embedded_entry, idle
 from .explore import BUDGET_MARGIN, SQRT2
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -403,24 +403,25 @@ class _Regroup:
         ``Wait(0.0)``, one ``Absorb``), then every import walks to the
         corner at its own speed in one :class:`~repro.sim.TeamSweep` of
         one-stop runs, and the leader carries on from the last arrival.
+        After window 8 the team just parks: one idle-group ``Fork``.
         Taken only on the frontier execution and when
         :func:`_hand_back_admissible` holds, so that no budget overrun or
         late arrival moves; returns False otherwise, having done nothing.
-        After window 8 the team just parks: one idle-group ``Fork``.
         """
         ids = proc.robot_ids
         if self.plan.frontier is None or len(ids) != len(self.imports) or len(ids) < 2:
             return False
-        if self.i >= 8:
-            yield Fork([(ids[1:], _park)])
-            return True
-        start = self.plan.window_start(self.r, self.i + 1)
-        if not _hand_back_admissible(proc, self.corner, start):
+        corner = self.corner
+        start = None if corner is None else self.plan.window_start(self.r, self.i + 1)
+        if not _hand_back_admissible(proc, corner, start):
             return False
-        yield Fork([([x for x in ids if x != self.leader], _park)])
+        if corner is None:
+            yield Fork([(ids[1:], idle)])  # tour over: park in place
+            return True
+        yield Fork([([x for x in ids if x != self.leader], idle)])
         yield Wait(0.0)
         yield Absorb(self.rest)
-        x, y = self.corner
+        x, y = corner
         yield TeamSweep(LatticeAxis([x]), [LatticeAxis([y])] * len(ids))
         yield from self._next_window(proc, ())
         return True
@@ -440,10 +441,16 @@ class _Regroup:
         yield from _window_step(proc, self.plan, r, self.cell, i + 1, self.imports)
 
 
-def _hand_back_admissible(proc: ProcessView, corner: Point, start: float) -> bool:
-    """Whether the team at ``proc`` may walk to ``corner`` as one team
-    sweep: the walk takes time, every robot clears its remaining budget by
-    ``BUDGET_MARGIN``, and the slowest arrives by ``start``."""
+def _hand_back_admissible(
+    proc: ProcessView, corner: Point | None, start: float | None
+) -> bool:
+    """Whether the team at ``proc`` may be handed back as one: parked in
+    place when the tour is over (no ``corner``), else walked to ``corner``
+    as one team sweep — the walk takes time, every robot clears its
+    remaining budget by ``BUDGET_MARGIN``, and the slowest arrives by
+    ``start``."""
+    if corner is None:
+        return True
     here = proc.position
     length = math.hypot(here[0] - corner[0], here[1] - corner[1])
     return (
@@ -451,12 +458,6 @@ def _hand_back_admissible(proc: ProcessView, corner: Point, start: float) -> boo
         and length < proc.min_remaining_budget - BUDGET_MARGIN
         and proc.time + length / proc.speed <= start
     )
-
-
-def _park(proc: ProcessView) -> Generator[Action, Result, None]:
-    """A process that ends at once: its robots idle where they stand."""
-    return
-    yield  # pragma: no cover - makes this function a generator
 
 
 def _assert_on_time(proc: ProcessView, deadline: float, label: str) -> None:

@@ -183,28 +183,9 @@ class Sweep(Action):
         is charged: the first and tail hops are computed, the lattice
         hops come from the axes' memoized hops.
         """
-        lengths: list[float] = []
-        prev = origin
-        start, stop = self.start, self.stop
-        if start < stop:
-            first = self.waypoint(0)
-            lengths.append(math.hypot(origin[0] - first[0], origin[1] - first[1]))
-            xs = self.xs
-            forward, backward = xs.hops, xs.hops_reversed
-            row_hops = self.ys.hops
-            row, col = divmod(start, len(xs))
-            last_row, last_col = divmod(stop - 1, len(xs))
-            while row < last_row:
-                lengths += (forward if row % 2 == 0 else backward)[col:]
-                lengths.append(row_hops[row])
-                row += 1
-                col = 0
-            lengths += (forward if row % 2 == 0 else backward)[col:last_col]
-            prev = self.waypoint(stop - 1 - start)
-        tail = self.arrive_at
-        if tail is not None:
-            lengths.append(math.hypot(prev[0] - tail[0], prev[1] - tail[1]))
-        return lengths
+        return _run_lengths(
+            self.xs, self.ys, self.start, self.stop, self.arrive_at, origin
+        )
 
     def bounds(self) -> tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` over the run's waypoints."""
@@ -241,9 +222,8 @@ class TeamSweep(Action):
     The strips share the columns ``xs``; robot ``i`` (in ``robot_ids``
     order) sweeps the whole lattice ``xs`` x ``rows[i]`` from the process's
     position, then walks to ``arrive_at`` when given — the :class:`Sweep`
-    :meth:`run` returns.  All runs must end at one point, and the strips
-    must be sorted by row: each strip's first and last rows no lower than
-    the previous strip's.  Each robot is charged its own run exactly as a
+    :meth:`run` returns.  All runs must end at one point.  Each robot is
+    charged its own run exactly as a
     lone :class:`Sweep` at its own speed would charge it, and observers
     see it where that sweep would put it.  The process resumes at the last
     arrival, at the meeting point, with every robot still owned.
@@ -274,23 +254,43 @@ class TeamSweep(Action):
         return Sweep(self.xs, ys, 0, len(self.xs) * len(ys), self.arrive_at)
 
     def lengths(self, i: int, origin: Point) -> list[float]:
-        """``run(i).segment_lengths(origin)``, built from the memoized hops
-        of whole rows: the first hop, each row's hops and the hop up to
-        the next row, then the tail."""
+        """``run(i).segment_lengths(origin)``, without building the run."""
         xs, ys = self.xs, self.rows[i]
-        x0, y0 = xs.stops[0], ys.stops[0]
-        lengths = [math.hypot(origin[0] - x0, origin[1] - y0)]
+        return _run_lengths(xs, ys, 0, len(xs) * len(ys), self.arrive_at, origin)
+
+
+def _run_lengths(
+    xs: LatticeAxis,
+    ys: LatticeAxis,
+    start: int,
+    stop: int,
+    arrive_at: Point | None,
+    origin: Point,
+) -> list[float]:
+    """Segment lengths of the boustrophedon run over stops ``start ..
+    stop - 1`` of ``xs`` x ``ys`` (then ``arrive_at``) walked from
+    ``origin``: the first and tail hops are computed, the lattice hops
+    come from the axes' memoized hops."""
+    lengths: list[float] = []
+    prev = origin
+    if start < stop:
+        cols, rows = xs.stops, ys.stops
+        row, col = divmod(start, len(cols))
+        last_row, last_col = divmod(stop - 1, len(cols))
+        x = cols[col] if row % 2 == 0 else cols[-1 - col]
+        lengths.append(math.hypot(origin[0] - x, origin[1] - rows[row]))
         forward, backward = xs.hops, xs.hops_reversed
-        for j, up in enumerate(ys.hops):
-            lengths += forward if j % 2 == 0 else backward
-            lengths.append(up)
-        last = len(ys) - 1
-        lengths += forward if last % 2 == 0 else backward
-        tail = self.arrive_at
-        if tail is not None:
-            x = xs.stops[-1] if last % 2 == 0 else x0
-            lengths.append(math.hypot(x - tail[0], ys.stops[-1] - tail[1]))
-        return lengths
+        row_hops = ys.hops
+        while row < last_row:
+            lengths += (forward if row % 2 == 0 else backward)[col:]
+            lengths.append(row_hops[row])
+            row += 1
+            col = 0
+        lengths += (forward if row % 2 == 0 else backward)[col:last_col]
+        prev = (cols[last_col] if row % 2 == 0 else cols[-1 - last_col]), rows[row]
+    if arrive_at is not None:
+        lengths.append(math.hypot(prev[0] - arrive_at[0], prev[1] - arrive_at[1]))
+    return lengths
 
 
 @dataclass(frozen=True)

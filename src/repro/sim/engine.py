@@ -29,9 +29,9 @@ processes in flight on one identical straight segment.  A Look tests one
 distance per site and interpolates once per convoy, however large the
 cohorts.  A :class:`~repro.sim.actions.TeamSweep` is one *flight*: every
 robot is charged its run in one pass over the shared lattice hops, the
-whole team is one padded box in the Look index, and a robot gets a
-generator-less stand-in process on its own run only when a Look lands
-where its run can be seen — one queue event per team.  A
+whole team is one padded box in the Look index, and its robots get
+generator-less stand-in processes on their own runs only when a Look
+lands in that box — one queue event per team.  A
 :class:`~repro.sim.actions.Tour` flies a process over its legs and waits
 as one piecewise path, for one queue event per walk; the processes that
 issue one tour object from one point at one instant and speed share a
@@ -48,10 +48,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add, le, truediv
+from operator import add, truediv
 from typing import Any, Callable, Dict, Generator, Sequence
 
 import numpy as _np
@@ -554,32 +554,27 @@ class Engine:
                     rid, robot.odometer + length, robot.budget
                 )
         if length <= EPS:
-            self._reposition(proc, target)
-            self._schedule(self.now, proc.pid, Result(self.now, None))
-            proc.state = "waiting"
-            return None
+            return self._arrive_now(proc, target)
         for rid in proc.robot_ids:
             robots[rid].odometer += length
         now = self.now
-        self._fly(proc, position, target, now, now + length / proc.speed)
-        trace = self.trace
-        if trace.enabled:
-            trace.append(
-                now, "move", proc.pid,
-                {
-                    "length": length, "to": target,
-                    "waypoints": 1, "robots": len(proc.robot_ids),
-                },
-            )
-        return None
+        return self._fly(proc, position, target, length, now + length / proc.speed, "move")
 
     def _fly(
-        self, proc: _Process, position: Point, target: Point, now: float, end: float
+        self,
+        proc: _Process,
+        position: Point,
+        target: Point,
+        length: float,
+        end: float,
+        kind: str,
     ) -> None:
-        """Put ``proc`` in flight on the straight segment ``position ->
-        target`` over ``now..end``, in the convoy of that segment."""
+        """Put ``proc``, already charged ``length``, in flight on the
+        straight segment ``position -> target`` from now until ``end``, in
+        the convoy of that segment; trace it as a ``kind`` entry."""
         self._unpark(proc)
         self._look_cache.clear()
+        now = self.now
         proc.state = "moving"
         proc.motion_from = position
         proc.motion_start = now
@@ -587,6 +582,25 @@ class Engine:
         proc.motion_end = end
         self._join_convoy(proc, _segment_key(position, target, now, end))
         self._schedule(end, proc.pid, Result(end, None))
+        trace = self.trace
+        if trace.enabled:
+            trace.append(
+                now, kind, proc.pid,
+                {
+                    "length": length, "to": target,
+                    "waypoints": 1, "robots": len(proc.robot_ids),
+                },
+            )
+        return None
+
+    def _arrive_now(self, proc: _Process, target: Point) -> None:
+        """Complete a motion that takes no time: ``proc`` is at ``target``
+        at once, and resumes at this instant (Move's teleport)."""
+        self._reposition(proc, target)
+        now = self.now
+        self._schedule(now, proc.pid, Result(now, None))
+        proc.state = "waiting"
+        return None
 
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
         count = _check_run(action)
@@ -595,9 +609,9 @@ class Engine:
         # One waypoint (most of an AWave run's sweeps: a hop between two
         # hot stops, or the tail alone): Move's arithmetic — the same
         # hypot, charge and ``now + length / speed`` — and Move's segment
-        # convoy, which interpolates as the lattice path does.  Like a
-        # lattice run, a sweep that takes no time completes at once and
-        # leaves no trace entry.
+        # flight, which interpolates as the lattice path does.  Only the
+        # teleport guard is the lattice path's: a sweep completes at once
+        # whenever its arrival time is now, even when the hop exceeds EPS.
         target = _run_end(action, 1)
         position = proc.position
         length = math.hypot(position[0] - target[0], position[1] - target[1])
@@ -606,21 +620,8 @@ class Engine:
         now = self.now
         end = now + length / proc.speed if length > EPS else now
         if end <= now:
-            self._reposition(proc, target)
-            self._schedule(now, proc.pid, Result(now, None))
-            proc.state = "waiting"
-            return None
-        self._fly(proc, position, target, now, end)
-        trace = self.trace
-        if trace.enabled:
-            trace.append(
-                now, "sweep", proc.pid,
-                {
-                    "length": length, "to": target,
-                    "waypoints": 1, "robots": len(proc.robot_ids),
-                },
-            )
-        return None
+            return self._arrive_now(proc, target)
+        return self._fly(proc, position, target, length, end, "sweep")
 
     def _sweep_lattice(self, proc: _Process, action: Sweep, count: int) -> None:
         # A lattice run: observationally identical to one Move per
@@ -640,10 +641,7 @@ class Engine:
         if t <= now:
             # Degenerate all-tiny sweep: complete immediately, like a
             # zero-length move.
-            self._reposition(proc, target)
-            self._schedule(now, proc.pid, Result(now, None))
-            proc.state = "waiting"
-            return None
+            return self._arrive_now(proc, target)
         self._unpark(proc)
         self._look_cache.clear()
         proc.start_sweep(position, now, action, target, ends)
@@ -667,8 +665,9 @@ class Engine:
         # the runs end, then ``Wait(0.0)`` and an absorb — as one event.
         # Each robot is charged its run at its own speed, as its child
         # would be, in one pass that builds nothing per stop or per robot;
-        # the team enters the Look index as one flight, which places a
-        # robot where its child would be only when a Look can see it.
+        # the team enters the Look index as one flight, which places its
+        # robots where their children would be only when a Look lands in
+        # its box.
         ids = proc.robot_ids
         if len(action) != len(ids):
             raise ProtocolError(
@@ -754,10 +753,7 @@ class Engine:
         if t <= now:
             # Teleports and past waits only: complete at once, like a
             # zero-length move.
-            self._reposition(proc, target)
-            self._schedule(now, proc.pid, Result(now, None))
-            proc.state = "waiting"
-            return None
+            return self._arrive_now(proc, target)
         self._unpark(proc)
         self._look_cache.clear()
         proc.start_sweep(position, now, action, target, ends)
@@ -979,9 +975,9 @@ class Engine:
                 now = self.now
                 for convoy in convoy_hits:
                     if convoy.__class__ is _Flight:
-                        # A team sweep: probe the robots whose runs can
-                        # reach this point, each on its own stand-in.
-                        for member in convoy.near(cx, cy, radius):
+                        # A team sweep: probe every robot on its own
+                        # stand-in.
+                        for member in convoy.members():
                             ox, oy = member.xy_at(now)
                             if hyp(ox - cx, oy - cy) <= limit:
                                 build.append(
@@ -1261,19 +1257,13 @@ class _Flight:
     """A :class:`~repro.sim.actions.TeamSweep` in flight, as one entry of
     the Look index: the padded bounds of every run.
 
-    A robot's stand-in — a generator-less process sweeping its run, with
-    its segment end times, not in ``_processes`` — is built only when a
-    Look lands where the robot's run can reach: within the visibility
-    radius of its strip's rows, of its first hop (from the origin up or
-    down to its strip) or of its tail (from its strip to the meeting
-    point).  The strips are sorted by row, so each of the three is a range
-    of strips found by bisection.
+    The robots' stand-ins — generator-less processes sweeping their runs,
+    with their segment end times, not in ``_processes`` — are built all
+    at once, the first time a Look's centre lands in those bounds; most
+    flights never meet a Look and build none.
     """
 
-    __slots__ = (
-        "key", "pid", "sweep", "team", "origin", "start", "meet", "lows",
-        "highs", "stand_ins", "bbox",
-    )
+    __slots__ = ("key", "pid", "sweep", "team", "origin", "start", "meet", "stand_ins", "bbox")
 
     def __init__(
         self, pid: int, sweep: TeamSweep, team: list, origin: Point, start: float
@@ -1284,77 +1274,46 @@ class _Flight:
         self.team = team
         self.origin = origin
         self.start = start
-        cols, rows = sweep.xs.stops, sweep.rows
-        self.lows = lows = [ys.stops[0] for ys in rows]
-        self.highs = highs = [ys.stops[-1] for ys in rows]
-        if not (all(map(le, lows, lows[1:])) and all(map(le, highs, highs[1:]))):
-            raise ProtocolError("team sweep strips must be sorted by row")
         meet = sweep.arrive_at
         if meet is None:
             # Each run ends on its strip's last stop: all must coincide.
-            ends = [(cols[-1] if len(ys) % 2 else cols[0], ys.stops[-1]) for ys in rows]
+            cols = sweep.xs.stops
+            ends = [(cols[-1] if len(ys) % 2 else cols[0], ys.stops[-1]) for ys in sweep.rows]
             meet = ends[0]
             if any(end != meet for end in ends):
                 raise ProtocolError("team sweep runs must end at one point")
         self.meet = meet if type(meet) is Point else Point(*meet)
-        self.stand_ins: dict[int, _Process] = {}
+        self.stand_ins: list[_Process] | None = None
         self.bbox: tuple[float, float, float, float] | None = None
 
     def padded_bbox(self, radius: float) -> tuple[float, float, float, float]:
         """Bounds of every run expanded by ``radius``, built on first use."""
         bbox = self.bbox
         if bbox is None:
-            cols = self.sweep.xs.stops
+            cols, rows = self.sweep.xs.stops, self.sweep.rows
             xs = [cols[0], cols[-1], self.origin[0], self.meet[0]]
-            ys = [self.lows[0], self.highs[-1], self.origin[1], self.meet[1]]
+            ys = [
+                min(strip.stops[0] for strip in rows), max(strip.stops[-1] for strip in rows),
+                self.origin[1], self.meet[1],
+            ]
             pad = radius + 1e-9
             bbox = self.bbox = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
         return bbox
 
-    def near(self, cx: float, cy: float, radius: float) -> list[_Process]:
-        """Stand-ins of the robots whose runs can reach ``(cx, cy)``."""
-        pad = radius + 1e-9
-        sweep = self.sweep
-        cols = sweep.xs.stops
-        lows, highs = self.lows, self.highs
-        spans = []
-        if cols[0] - pad <= cx <= cols[-1] + pad:
-            spans.append((bisect_left(highs, cy - pad), bisect_right(lows, cy + pad)))
-        ox, oy = self.origin
-        if min(ox, cols[0]) - pad <= cx <= max(ox, cols[0]) + pad:
-            spans.append(_fan(lows, oy, cy, pad))
-        tail = sweep.arrive_at
-        if tail is not None and min(tail[0], cols[0]) - pad <= cx <= max(tail[0], cols[-1]) + pad:
-            spans.append(_fan(highs, tail[1], cy, pad))
-        members = []
-        done = 0
-        for lo, hi in sorted(spans):
-            for i in range(max(lo, done), hi):
-                member = self.stand_ins.get(i)
-                if member is None:
-                    member = self.stand_ins[i] = self._stand_in(i)
-                members.append(member)
-            done = max(done, hi)
-        return members
-
-    def _stand_in(self, i: int) -> _Process:
-        """Robot ``i`` on its run, timed as the flight charged it."""
-        robot = self.team[i]
-        origin, speed = self.origin, robot.speed
-        member = _Process(self.pid, None, [robot.robot_id], origin, speed)
-        ends = _ends(_charged(self.sweep.lengths(i, origin)), self.start, speed)
-        member.start_sweep(origin, self.start, self.sweep.run(i), self.meet, ends)
-        return member
-
-
-def _fan(ends: list[float], hub: float, y: float, pad: float) -> tuple[int, int]:
-    """The strips whose hop between height ``hub`` and their own height in
-    ``ends`` (sorted) passes within ``pad`` of height ``y``."""
-    if y > hub + pad:
-        return bisect_left(ends, y - pad), len(ends)
-    if y < hub - pad:
-        return 0, bisect_right(ends, y + pad)
-    return 0, len(ends)
+    def members(self) -> list[_Process]:
+        """Every robot's stand-in, on its run and timed as the flight
+        charged it; built on first use."""
+        stand_ins = self.stand_ins
+        if stand_ins is None:
+            sweep, origin, start, meet = self.sweep, self.origin, self.start, self.meet
+            stand_ins = self.stand_ins = []
+            for i, robot in enumerate(self.team):
+                speed = robot.speed
+                member = _Process(self.pid, None, [robot.robot_id], origin, speed)
+                ends = _ends(_charged(sweep.lengths(i, origin)), start, speed)
+                member.start_sweep(origin, start, sweep.run(i), meet, ends)
+                stand_ins.append(member)
+        return stand_ins
 
 
 def _tour_key(tour: Tour, origin: Point, start: float, speed: float) -> tuple:

@@ -4,11 +4,13 @@ When an embedded ``ASeparator`` run dissolves a team made only of the
 window's imports, ``awave`` hands the team back in one flight: an
 idle-group ``Fork``, ``Wait(0.0)`` and one ``Absorb`` put the robots in
 the order the leader's absorb would, then one ``TeamSweep`` of one-stop
-runs walks every import to the next corner at its own speed.  The
-per-import path — one process per import walking to the corner, the
+runs walks every import to the next corner at its own speed; after
+window 8 the idle-group ``Fork`` alone parks the team.  The per-import
+path — one process per import walking to the corner (or parking), the
 leader absorbing them at the window start — is the reference: refusing
-the flight (``_hand_back_admissible`` monkeypatched to say no) must leave
-every observable as it is, with more engine events.  An import that would
+every hand-back, parks included (``_hand_back_admissible`` monkeypatched
+to say no), must leave every observable as it is, with more engine
+events.  An import that would
 arrive late, or that the walk would bring near its budget, keeps the
 per-import path, so an abort happens where and when it always did.
 """
@@ -98,6 +100,26 @@ def test_team_hand_back_is_the_per_import_path(name, monkeypatch):
     assert lean == reference
     assert any(taken) and not any(refused)
     assert lean_events < reference_events
+
+
+def test_refusal_leaves_no_hand_back(monkeypatch):
+    """Refusing admissibility refuses every hand-back, window 8's park
+    included: the trace is the one of a run offered no team hand-back."""
+    request = RunRequest(algorithm="awave", **REQUESTS["uniform_disk"])
+    plain = awave.SeparatorContext
+
+    def trace_with(name, value):
+        with monkeypatch.context() as patch:
+            patch.setattr(awave, name, value)
+            trace = Trace(keep_looks=True)
+            request.execute(trace=trace)
+        return [(e.time, e.kind, e.process_id, e.data) for e in trace.events]
+
+    refused = trace_with("_hand_back_admissible", lambda *args: False)
+    offered_none = trace_with(
+        "SeparatorContext", lambda **kw: plain(**{**kw, "on_release_team": None})
+    )
+    assert refused == offered_none
 
 
 # -- inadmissible hand-backs ----------------------------------------------------

@@ -70,14 +70,15 @@ GOLDEN_RUNS = [
     # those explorations, and the ordered wake/look/move/phase stream and
     # the multiset of sweep (time, length, waypoints) entries are unchanged.
     # It was regenerated again when AWave's all-import hand-back became one
-    # team sweep (digest 2381879e... before; the team hand-back refused,
-    # the run still reproduces it): the 392 per-import process start/end
-    # pairs are gone, the 357 per-import ``move`` entries are ``sweep``
-    # entries of the same time, length and waypoints, each hand-back's
-    # fork starts one idle group instead of one process per import, its
-    # absorb (the same robots in the same order) comes at the hand-back
-    # instead of at the next window start, and the ordered
-    # look/wake/phase/barrier stream is unchanged.
+    # team sweep (digest 2381879e... before; with
+    # ``awave._hand_back_admissible`` monkeypatched to refuse, which also
+    # refuses window 8's park, the run still reproduces it): the 392
+    # per-import process start/end pairs are gone, the 357 per-import
+    # ``move`` entries are ``sweep`` entries of the same time, length and
+    # waypoints, each hand-back's fork starts one idle group instead of
+    # one process per import, its absorb (the same robots in the same
+    # order) comes at the hand-back instead of at the next window start,
+    # and the ordered look/wake/phase/barrier stream is unchanged.
     (
         "legacy_awave", "uniform_disk", {"n": 50, "rho": 10.0, "seed": 2}, {"ell": 2},
         "10da75eecbbbf0b477cead29fddbc71128227a7acb2b94b1eb20153bd7252a18",

@@ -75,9 +75,8 @@ YS = LatticeAxis([-0.5, 0.5, 1.5])
 LATTICE = len(XS) * len(YS)
 #: Team-sweep columns: three, or one on the palette's ``x = 0`` points.
 TEAM_COLS = (XS, LatticeAxis([0.0]))
-#: Strip rows, sorted by first and by last row, so any non-decreasing
-#: choice of them is a valid strip family.  Rows at 0 and 1 put strip
-#: ends on palette points: zero-length first hops and tails.
+#: Strip rows.  Rows at 0 and 1 put strip ends on palette points:
+#: zero-length first hops and tails.
 STRIPS = (
     LatticeAxis([-0.5]),
     LatticeAxis([0.0]),
@@ -399,14 +398,14 @@ class Run:
 
     def team(self, proc, cols, strips, tail):
         """One TeamSweep over columns ``TEAM_COLS[cols]``: robot ``i``
-        sweeps strip ``STRIPS[strips[i % len(strips)]]`` (in sorted order)
-        and walks to ``PALETTE[tail]``; with no tail, every robot sweeps
-        the first strip and ends where it does."""
+        sweeps strip ``STRIPS[strips[i % len(strips)]]`` and walks to
+        ``PALETTE[tail]``; with no tail, every robot sweeps the first strip
+        and ends where it does."""
         k = len(proc.robot_ids)
         if tail is None:
             rows = [STRIPS[strips[0]]] * k
         else:
-            rows = [STRIPS[j] for j in sorted(strips[i % len(strips)] for i in range(k))]
+            rows = [STRIPS[strips[i % len(strips)]] for i in range(k)]
         sweep = TeamSweep(TEAM_COLS[cols], rows, None if tail is None else PALETTE[tail])
         members = []
         for i, rid in enumerate(proc.robot_ids):
@@ -603,14 +602,17 @@ class TestLookOracle:
         run.check()
         assert run.looks > 0
 
-    def test_team_sweep_builds_only_the_stand_ins_a_look_can_see(self):
-        """A Look below the flight meets only the bottom strip's run: one
-        stand-in is built, the other three robots are never placed."""
-        team = [(0, 4, [("until", 1.0), ("team", 0, [0, 1, 3, 5], 8)])]
-        run = Run([], team, 0, WorldConfig(), watchers=[(7, [1.5])])
-        run.engine.run(until=1.5)
+    def test_team_sweep_builds_stand_ins_only_for_a_look_in_its_box(self):
+        """Three robots walk from (3, 4) to (0, 2).  The source's Look at
+        (0, 0) misses the flight's padded box and builds no stand-in; its
+        Look on arrival at (2, 1) lands in the box and builds all three."""
+        team = [(8, 3, [("until", 1.0), ("team", 1, [5], None)])]
+        run = Run([], team, 0, WorldConfig(), watchers=[(0, [1.5])])
+        run.engine.run(until=3.0)
         (flight,) = [p.flight for p in run.engine._processes.values() if p.flight]
-        assert list(flight.stand_ins) == [0]
+        assert flight.stand_ins is None
+        run.engine.run(until=3.5)
+        assert [m.robot_ids for m in flight.stand_ins] == [[1], [2], [3]]
         run.check()
 
     def test_team_sweep_is_seen_at_issue_arrival_and_release(self):

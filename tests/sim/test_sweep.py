@@ -188,11 +188,6 @@ class TestSweepEdges:
         with pytest.raises(ProtocolError):
             run_single(apart, team=(SOURCE_ID, 1))
 
-    def test_team_sweep_strips_must_be_sorted_by_row(self):
-        for rows in ([YS, LatticeAxis([0.25])], [LatticeAxis([1.25]), LatticeAxis([0.25])]):
-            with pytest.raises(ProtocolError, match="sorted"):
-                run_single(TeamSweep(XS, rows, RUN.arrive_at), team=(SOURCE_ID, 1))
-
     def test_team_sweep_is_one_event_per_team(self):
         """Both robots walk their own run; the team resumes once, at the
         later arrival, after two same-instant hops."""
@@ -507,7 +502,8 @@ class TestOneWaypointSweep:
 
 @st.composite
 def strip_families(draw):
-    """A TeamSweep of 1..5 sorted strips and the origin it is issued from."""
+    """A TeamSweep of 1..5 strips in any order and the origin it is
+    issued from."""
     xs = draw(axes())
     rows, y = [], draw(st.floats(-20.0, 20.0))
     for _ in range(draw(st.integers(1, 5))):
@@ -519,6 +515,7 @@ def strip_families(draw):
             stops.append(stops[-1] + gap)
         rows.append(LatticeAxis(stops))
         y = stops[-1] + draw(st.floats(0.1, 1.42))
+    rows = draw(st.permutations(rows))
     end = TeamSweep(xs, rows[:1]).run(0).waypoint(len(xs) * len(rows[0]) - 1)
     tail_kind = draw(st.sampled_from(["none", "far", "repeat", "tiny"]))
     if tail_kind == "none":
@@ -575,16 +572,46 @@ def fly(sweep, origin, speeds, budgets, *, team):
     except EnergyBudgetExceeded as err:
         return engine, world, (err.robot_id, err.attempted, err.budget), out
     if team:
-        movers = [procs[0].flight._stand_in(i) for i in range(k)]
+        movers = procs[0].flight.members()
     else:
         movers = procs  # a lone walk of no length is over, at its end
     return engine, world, movers, out
 
 
 class TestTeamSweepFlight:
-    """A flight charges each robot in one pass and builds its stand-in
+    """A flight charges each robot in one pass and builds its stand-ins
     only when looked for: odometers, arrivals and positions must be the
     lone sweeps' own."""
+
+    def test_box_covers_a_strip_in_any_order(self):
+        """The highest strip is the middle one of the family: a Look beside
+        it finds its robot there."""
+        sweep = TeamSweep(
+            LatticeAxis([0.0]),
+            [LatticeAxis([1.0]), LatticeAxis([5.0]), LatticeAxis([2.0])],
+            Point(0.0, 0.0),
+        )
+        origin = Point(0.0, 0.0)
+        world = World(source=origin, positions=[origin, origin, Point(0.0, 5.9)])
+        for rid in (1, 2, 3):
+            world.mark_awake(rid, 0.0, None)
+        engine = Engine(world)
+        seen = []
+
+        def team(proc):
+            yield sweep
+
+        def post(proc):
+            yield WaitUntil(5.0)
+            seen.append((yield Look()).value)
+
+        engine.spawn(team, [0, 1, 2])
+        engine.spawn(post, [3])
+        engine.run()
+        (snapshot,) = seen
+        assert [(v.robot_id, v.position) for v in snapshot.robots if v.robot_id != 3] == [
+            (1, Point(0.0, 5.0))
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(
