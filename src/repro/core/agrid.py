@@ -118,12 +118,14 @@ def agrid_window(ell: int) -> float:
     return explore + propagate + moves + 4.0
 
 
-def agrid_round_start(ell: int, k: int, speed_floor: float = 1.0) -> float:
-    """Absolute start time of round ``k >= 1`` (round 0 fits in one window).
+def wave_round_start(window: float, k: int, speed_floor: float) -> float:
+    """Absolute start time of wave round ``k >= 1`` for unit-speed windows
+    of length ``window`` (round 0 fits in one window).
 
-    Each round spans nine windows: participants gather during the first
-    (the paper's "wait until ``t_k + (t(ell)+sqrt(2)R)*i``" places window
-    ``i``'s action at ``t_k + i*W``), then act in windows 1..8.
+    The one clock of ``AGrid`` and ``AWave``, which differ only in the
+    window.  Each round spans nine windows: participants gather during the
+    first (the paper's "wait until ``t_k + (t(ell)+sqrt(2)R)*i``" places
+    window ``i``'s action at ``t_k + i*W``), then act in windows 1..8.
 
     ``speed_floor`` is a lower bound on any robot's speed (the world
     model's :meth:`~repro.sim.WorldConfig.min_speed`): every activity in a
@@ -131,15 +133,25 @@ def agrid_round_start(ell: int, k: int, speed_floor: float = 1.0) -> float:
     unit-speed window by ``1/speed_floor`` re-certifies the calibration
     for heterogeneous-speed worlds.
     """
-    w = agrid_window(ell) / speed_floor
+    w = window / speed_floor
     return w + (k - 1) * 9.0 * w
+
+
+def wave_window_start(window: float, k: int, i: int, speed_floor: float) -> float:
+    """Start of the action in window ``i`` (1..8) of wave round ``k``."""
+    return wave_round_start(window, k, speed_floor) + i * window / speed_floor
+
+
+def agrid_round_start(ell: int, k: int, speed_floor: float = 1.0) -> float:
+    """Absolute start time of ``AGrid`` round ``k >= 1``."""
+    return wave_round_start(agrid_window(ell), k, speed_floor)
 
 
 def agrid_window_start(
     ell: int, k: int, i: int, speed_floor: float = 1.0
 ) -> float:
-    """Start of the action in window ``i`` (1..8) of round ``k``."""
-    return agrid_round_start(ell, k, speed_floor) + i * agrid_window(ell) / speed_floor
+    """Start of the action in window ``i`` (1..8) of ``AGrid`` round ``k``."""
+    return wave_window_start(agrid_window(ell), k, i, speed_floor)
 
 
 def agrid_energy_budget(ell: int) -> float:
@@ -157,7 +169,7 @@ def agrid_program(
     """Source program for ``AGrid`` (only ``ell`` is required, Section 5).
 
     ``speed_floor`` stretches the window arithmetic for worlds whose
-    robots move slower than unit speed (see :func:`agrid_round_start`);
+    robots move slower than unit speed (see :func:`wave_round_start`);
     ``crash_aware`` adds a snapshot-based leader election at each round
     start so a cohort survives crash-on-wake members (a crashed leader
     would otherwise silently strand its 8 neighbor cells).  Both default

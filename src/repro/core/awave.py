@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Generator, Sequence
 
-import numpy as _np
-
 from ..geometry import EPS, Point, close_to
 from ..sim import (
     Absorb,
@@ -55,8 +53,13 @@ from ..sim import (
 )
 from ..sim.actions import Action, Program
 from ..sim.engine import ProcessView
-from ..sim.errors import ProtocolError
-from .agrid import CellGrid, Cell
+from .agrid import (
+    Cell,
+    CellGrid,
+    _assert_on_time,
+    wave_round_start,
+    wave_window_start,
+)
 from .aseparator import SeparatorContext, aseparator_program, embedded_entry, idle
 from .explore import BUDGET_MARGIN, SQRT2
 
@@ -68,7 +71,6 @@ __all__ = [
     "awave_window",
     "awave_round_start",
     "awave_window_start",
-    "awave_schedule",
     "awave_energy_budget",
     "awave_program",
 ]
@@ -114,46 +116,17 @@ def awave_window(ell: int) -> float:
 
 
 def awave_round_start(ell: int, r: int, speed_floor: float = 1.0) -> float:
-    """Gather time of wave round ``r >= 1`` (round 0 fits in one window).
-
-    ``speed_floor`` stretches the unit-speed window by ``1/speed_floor``
-    for heterogeneous-speed worlds, exactly as in
-    :func:`repro.core.agrid.agrid_round_start`.
-    """
-    w = awave_window(ell) / speed_floor
-    return w + (r - 1) * 9.0 * w
+    """Gather time of wave round ``r >= 1`` (round 0 fits in one window):
+    the clock :func:`~repro.core.agrid.wave_round_start` shared with
+    ``AGrid``, run on ``AWave``'s window."""
+    return wave_round_start(awave_window(ell), r, speed_floor)
 
 
 def awave_window_start(
     ell: int, r: int, i: int, speed_floor: float = 1.0
 ) -> float:
     """Start of window ``i`` (1..8) of wave round ``r``."""
-    return awave_round_start(ell, r, speed_floor) + i * awave_window(ell) / speed_floor
-
-
-def awave_schedule(
-    ell: int, max_round: int, speed_floor: float = 1.0
-) -> tuple[list[float], list[list[float]]]:
-    """Batch deadline table for wave rounds ``1..max_round``.
-
-    Returns ``(round_starts, window_starts)`` with
-    ``round_starts[r-1] == awave_round_start(ell, r, speed_floor)`` and
-    ``window_starts[r-1][i-1] == awave_window_start(ell, r, i,
-    speed_floor)`` — *bit-exact*: the vectorized computation replicates
-    the scalar functions' float-operation order, so a cohort reading its
-    deadlines from the shared table waits until the very same instants a
-    per-robot recomputation would.  Pinned against the scalar oracle
-    (including ``speed_floor < 1``) by Hypothesis property tests.
-    """
-    if max_round < 1:
-        return [], []
-    W = awave_window(ell)
-    w = W / speed_floor
-    r = _np.arange(1, max_round + 1, dtype=_np.float64)
-    rounds_arr = w + (r - 1.0) * 9.0 * w
-    i = _np.arange(1, 9, dtype=_np.float64)
-    windows_arr = rounds_arr[:, None] + (i[None, :] * W) / speed_floor
-    return rounds_arr.tolist(), windows_arr.tolist()
+    return wave_window_start(awave_window(ell), r, i, speed_floor)
 
 
 def awave_energy_budget(ell: int) -> float:
@@ -174,17 +147,16 @@ class _WavePlan:
     """Shared cohort plan: one object per ``AWave`` run.
 
     Every participant / regroup continuation of the wave closes over the
-    *same* plan instead of re-deriving grid geometry and window arithmetic
-    per robot per window: the deadline table is filled in batch
-    (:func:`awave_schedule`, bit-exact with the scalar functions) and the
-    sparse frontier oracle — when enabled — is the single index the whole
-    wave's explorations share.  ``frontier=None`` reproduces the legacy
-    per-stop execution byte-for-byte (``legacy_awave``).
+    *same* plan instead of re-deriving grid geometry per robot per window:
+    the window length is computed once and read through the wave clock
+    ``AWave`` shares with ``AGrid``
+    (:func:`~repro.core.agrid.wave_window_start`), and the sparse frontier
+    oracle — when enabled — is the single index the whole wave's
+    explorations share.  ``frontier=None`` reproduces the legacy per-stop
+    execution byte-for-byte (``legacy_awave``).
     """
 
-    __slots__ = (
-        "grid", "e", "speed_floor", "frontier", "_rounds", "_windows", "_teams",
-    )
+    __slots__ = ("grid", "e", "speed_floor", "frontier", "window", "_teams")
 
     def __init__(
         self,
@@ -197,31 +169,21 @@ class _WavePlan:
         self.e = e
         self.speed_floor = speed_floor
         self.frontier = frontier
-        self._rounds: list[float] = []
-        self._windows: list[list[float]] = []
+        self.window = awave_window(e)
         self._teams: dict[tuple[int, Cell], list[int]] = {}
 
-    def _extend(self, r: int) -> None:
-        need = max(r, 2 * len(self._rounds), 4)
-        self._rounds, self._windows = awave_schedule(
-            self.e, need, self.speed_floor
-        )
-
     def round_start(self, r: int) -> float:
-        if r > len(self._rounds):
-            self._extend(r)
-        return self._rounds[r - 1]
+        return wave_round_start(self.window, r, self.speed_floor)
 
     def window_start(self, r: int, i: int) -> float:
-        if r > len(self._rounds):
-            self._extend(r)
-        return self._windows[r - 1][i - 1]
+        return wave_window_start(self.window, r, i, self.speed_floor)
 
     def occupied_cells(self) -> int:
         """How many wave cells hold at least one robot (0 w/o frontier)."""
         if self.frontier is None:
             return 0
-        return len(set(self.frontier.cells(self.grid.width, self.grid.source)))
+        cell_of = self.grid.cell_of
+        return len({cell_of(p) for p in self.frontier.points})
 
     def gather_team(self, r: int, cell: Cell, snap, corner) -> list[int]:
         """The round-``r`` cohort of ``cell``, filtered from the gather
@@ -251,7 +213,8 @@ def awave_program(
     """Source program for ``AWave`` (only ``ell`` is required).
 
     ``speed_floor`` re-certifies the window arithmetic for worlds whose
-    robots move slower than unit speed (see :func:`awave_round_start`).
+    robots move slower than unit speed (see
+    :func:`~repro.core.agrid.wave_round_start`).
     ``frontier`` enables the sparse-wave-frontier execution model: the
     same choreography — identical makespans, wake orders and per-robot
     energies, as pinned by ``tests/core/test_awave_differential.py`` —
@@ -459,10 +422,3 @@ def _hand_back_admissible(
         and proc.time + length / proc.speed <= start
     )
 
-
-def _assert_on_time(proc: ProcessView, deadline: float, label: str) -> None:
-    if proc.time > deadline + 1e-6:
-        raise ProtocolError(
-            f"{label}: arrived at t={proc.time:.3f} after deadline "
-            f"{deadline:.3f} — window calibration violated"
-        )

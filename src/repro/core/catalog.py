@@ -212,8 +212,7 @@ def _awave_setup(
     speed_floor = 1.0 if world is None else world.min_speed()
     if with_frontier:
         # The sparse wave frontier: a static oracle over the instance's
-        # initial positions (ids follow the World convention, sleepers
-        # are 1..n) that lets the wave sweep through exploration
+        # initial positions that lets the wave sweep through exploration
         # stretches whose snapshots provably contain no sleeping robot.
         # Same makespans, wake orders and energies as ``legacy_awave`` —
         # the differential suite pins that.
@@ -223,9 +222,7 @@ def _awave_setup(
         visibility = (
             VISIBILITY_RADIUS if world is None else world.visibility_radius
         )
-        frontier = frontier_for(
-            instance.positions, visibility, keys=range(1, instance.n + 1)
-        )
+        frontier = frontier_for(instance.positions, visibility)
         label = "AWave"
     else:
         frontier = None

@@ -152,10 +152,11 @@ def exploration_stops(rect: Rect) -> list[Point]:
     ys = _axis_stops(rect.ymin, rect.ymax).stops
     xs = _axis_stops(rect.xmin, rect.xmax).stops
     xs_reversed = xs[::-1]
-    # Cohort explorations materialize millions of stops (one thin strip
-    # per robot); skip the generated NamedTuple __new__ frame and build
-    # the Points straight through tuple.__new__ — same objects, ~2x less
-    # constructor overhead on the hottest allocation in a batched run.
+    # Only per-stop walks build every stop: legacy_awave, AGrid and
+    # ASeparator (and a frontier walk too close to its budget to batch).
+    # Skip the generated NamedTuple __new__ frame and build the Points
+    # straight through tuple.__new__ — same objects, ~2x less constructor
+    # overhead.
     tuple_new = tuple.__new__
     point = Point
     stops: list[Point] = []

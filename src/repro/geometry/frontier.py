@@ -10,51 +10,40 @@ sleeping robot?" is answerable *statically*, before the simulation runs,
 from the instance alone.
 
 :class:`FrontierIndex` packs the initial positions into per-cell contiguous
-arrays (one ``lexsort``, :class:`~repro.geometry.frozen.FrozenGridHash`
-style) and answers three families of queries:
+arrays (:func:`~repro.geometry.frozen.pack_cells`, the packer of
+:class:`~repro.geometry.frozen.FrozenGridHash`) and answers two queries:
 
-* **hot stops** — which planned snapshot stops lie within the closed
-  visibility reach of *any* initial position (:meth:`hot_stops` /
-  :meth:`any_within`).  A cold stop's snapshot provably contains no
-  *sleeping* robot (robots sleep at their initial positions until
-  woken); the frontier-aware exploration replaces such Move+Look pairs
-  with one batched :class:`~repro.sim.Sweep`.  The classification is
-  conservative (``reach`` strictly exceeds the engine's look limit) and
-  *static* — it never depends on execution state, so legacy and batched
-  runs classify identically.  What a cold stop may legitimately miss is
-  an *awake transient* — a robot traveling far from every initial
-  position — whose sighting only ever cancels a same-report sleeping
-  entry; the differential suite (exact wake-time and energy equality on
-  randomized instances, including the exact-boundary ``l1_diamond``
-  family) is the empirical guard that this omission never reaches an
-  observable.
+* **hot stops** — whether a planned snapshot stop lies within the closed
+  visibility reach of *any* initial position (:meth:`any_within`).  A
+  cold stop's snapshot provably contains no *sleeping* robot (robots
+  sleep at their initial positions until woken); the frontier-aware
+  exploration replaces such Move+Look pairs with one batched
+  :class:`~repro.sim.Sweep`.  The classification is conservative
+  (``reach`` strictly exceeds the engine's look limit) and *static* — it
+  never depends on execution state, so legacy and batched runs classify
+  identically.  What a cold stop may legitimately miss is an *awake
+  transient* — a robot traveling far from every initial position — whose
+  sighting only ever cancels a same-report sleeping entry; the
+  differential suite (exact wake-time and energy equality on randomized
+  instances, including the exact-boundary ``l1_diamond`` family) is the
+  empirical guard that this omission never reaches an observable.
 * **rect rejection** — whether a rectangle padded by the reach contains any
   initial position at all (:meth:`rect_overlaps`); an entirely-cold
   exploration skips per-stop classification outright.
-* **wave cohorts** — vectorized bucketing of the swarm by wave cell
-  (:meth:`cells` / :meth:`bucket` / :meth:`cohort`), float-op-identical
-  to :meth:`repro.core.agrid.CellGrid.cell_of`, with decimation support
-  for crash-on-wake worlds (crashed robots never join their cell's
-  cohort).  ``cells`` feeds the wave's startup accounting; ``bucket`` /
-  ``cohort`` are the property-tested oracle surface for cohort
-  diagnostics (the in-run cohort election itself stays snapshot-driven —
-  see ``_WavePlan.gather_team`` — so the executed wave never trusts the
-  index over the engine's own observations).
 
-Equivalence with the scalar oracles (brute-force distance loops and the
-per-point ``CellGrid`` assignment) is pinned by Hypothesis property tests
-in ``tests/geometry/test_frontier.py``, including ``radius ± EPS``
-boundaries and ``speed_floor < 1`` window arithmetic on the ``AWave``
-side.
+Equivalence with the brute-force distance loop is pinned by Hypothesis
+property tests in ``tests/geometry/test_frontier.py``, including stops
+in the ``reach ± EPS`` boundary band.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as _np
 
+from .frozen import pack_cells
 from .points import EPS, Point
 
 __all__ = ["FRONTIER_PAD", "FrontierIndex", "frontier_for"]
@@ -66,7 +55,8 @@ __all__ = ["FRONTIER_PAD", "FrontierIndex", "frontier_for"]
 #: (A hot misclassification only costs a redundant snapshot — safe.)
 FRONTIER_PAD = 1e-6
 
-#: Below this many candidates, a scalar loop beats numpy call overhead.
+#: Below this many points in a cell, a scalar loop beats numpy call
+#: overhead in :meth:`FrontierIndex.any_within`.
 _SCALAR_CUTOFF = 32
 
 
@@ -94,77 +84,39 @@ class FrontierIndex:
     """Packed-array spatial oracle over a swarm's initial positions.
 
     ``reach`` is the closed query radius (visibility radius plus
-    :data:`FRONTIER_PAD`); ``keys`` are the robot ids in position order
-    (defaults to ``0..n-1``).  Positions are immutable: the index is built
-    once per instance and shared by every program of the run.
+    :data:`FRONTIER_PAD`); ``points`` keeps the positions as given.
+    Positions are immutable: the index is built once per instance and
+    shared by every program of the run.
     """
 
-    def __init__(
-        self,
-        positions: Sequence[Point],
-        reach: float,
-        keys: Sequence[Hashable] | None = None,
-    ) -> None:
+    def __init__(self, positions: Sequence[Point], reach: float) -> None:
         if reach <= 0:
             raise ValueError("reach must be positive")
         self.reach = float(reach)
-        pts = [(float(p[0]), float(p[1])) for p in positions]
-        self._keys: list[Hashable] = (
-            list(range(len(pts))) if keys is None else list(keys)
-        )
-        if len(self._keys) != len(pts):
-            raise ValueError("keys must match positions one-to-one")
-        self._n = len(pts)
-        cs = self.cell_size = self.reach
-        if pts:
+        self.points = list(positions)
+        self._n = len(self.points)
+        _, self._vx, self._vy, self._cells = pack_cells(self.points, self.reach)
+        self._xs = self._vx.tolist()
+        self._ys = self._vy.tolist()
+        if self._n:
             # Ulp-padded bounds: ``max_x + reach`` can round half an ulp
             # below a stop exactly at distance ``reach`` — the bbox is a
             # pre-filter and must never reject a true hit.
-            span = max(
-                max(abs(x) for x, _ in pts), max(abs(y) for _, y in pts), 1.0
-            )
+            xs, ys = self._xs, self._ys
+            span = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
             slack = self.reach * 1e-12 + span * 1e-15
             self._bbox = (
-                min(x for x, _ in pts) - self.reach - slack,
-                min(y for _, y in pts) - self.reach - slack,
-                max(x for x, _ in pts) + self.reach + slack,
-                max(y for _, y in pts) + self.reach + slack,
+                min(xs) - self.reach - slack,
+                min(ys) - self.reach - slack,
+                max(xs) + self.reach + slack,
+                max(ys) + self.reach + slack,
             )
         else:
             self._bbox = None
-        # Pack points into per-cell contiguous slices (FrozenGridHash
-        # style): one sort by cell, then (start, stop) offsets per cell.
-        order = sorted(
-            range(self._n),
-            key=lambda i: (
-                math.floor(pts[i][0] / cs), math.floor(pts[i][1] / cs), i
-            ),
-        )
-        self._xs = [pts[i][0] for i in order]
-        self._ys = [pts[i][1] for i in order]
-        self._packed_keys = [self._keys[i] for i in order]
-        self._slices: dict[tuple[int, int], tuple[int, int]] = {}
-        if self._n:
-            def cell_at(idx: int) -> tuple[int, int]:
-                x, y = pts[order[idx]]
-                return (math.floor(x / cs), math.floor(y / cs))
-
-            start = 0
-            current = cell_at(0)
-            for idx in range(1, self._n):
-                cell = cell_at(idx)
-                if cell != current:
-                    self._slices[current] = (start, idx)
-                    start = idx
-                    current = cell
-            self._slices[current] = (start, self._n)
-        self._vx = _np.asarray(self._xs, dtype=_np.float64)
-        self._vy = _np.asarray(self._ys, dtype=_np.float64)
 
     def __len__(self) -> int:
         return self._n
 
-    # -- hot-stop classification -------------------------------------------
     def any_within(self, p: Point) -> bool:
         """Closed-disk test: is any initial position within ``reach``?
 
@@ -179,7 +131,6 @@ class FrontierIndex:
         bbox = self._bbox
         if not (bbox[0] <= x <= bbox[2] and bbox[1] <= y <= bbox[3]):
             return False
-        cs = self.cell_size
         reach = self.reach
         reach_sq = reach * reach
         lo = reach_sq * (1.0 - 1e-12)
@@ -190,14 +141,15 @@ class FrontierIndex:
         # the cell holding an exactly-at-reach point.
         sx = reach + reach * 1e-12 + abs(x) * 1e-15
         sy = reach + reach * 1e-12 + abs(y) * 1e-15
-        ix_lo = math.floor((x - sx) / cs)
-        ix_hi = math.floor((x + sx) / cs)
-        iy_lo = math.floor((y - sy) / cs)
-        iy_hi = math.floor((y + sy) / cs)
-        slices = self._slices
+        ix_lo = math.floor((x - sx) / reach)
+        ix_hi = math.floor((x + sx) / reach)
+        iy_lo = math.floor((y - sy) / reach)
+        iy_hi = math.floor((y + sy) / reach)
+        cells_get = self._cells.get
         for ix in range(ix_lo, ix_hi + 1):
+            base = ix << 32
             for iy in range(iy_lo, iy_hi + 1):
-                bounds = slices.get((ix, iy))
+                bounds = cells_get(base + iy)
                 if bounds is None:
                     continue
                 start, stop = bounds
@@ -221,18 +173,6 @@ class FrontierIndex:
                         return True
         return False
 
-    def hot_stops(self, stops: Sequence[Point]) -> list[bool]:
-        """Per-stop hot mask for a planned snapshot lattice.
-
-        ``True`` means the stop's closed reach-disk contains at least one
-        initial position (the snapshot there *may* reveal a sleeping
-        robot and must really be taken); ``False`` stops are provably
-        empty and safe to sweep through.
-        """
-        if self._n == 0 or not stops:
-            return [False] * len(stops)
-        return [self.any_within(s) for s in stops]
-
     def rect_overlaps(self, xmin: float, ymin: float, xmax: float, ymax: float) -> bool:
         """Whether any initial position lies in the rect padded by ``reach``.
 
@@ -251,72 +191,14 @@ class FrontierIndex:
         ):
             return False
         r = self.reach
-        xs, ys = self._xs, self._ys
-        if self._n >= _SCALAR_CUTOFF:
-            return bool(
-                (
-                    (self._vx >= xmin - r) & (self._vx <= xmax + r)
-                    & (self._vy >= ymin - r) & (self._vy <= ymax + r)
-                ).any()
-            )
-        return any(
-            xmin - r <= xs[i] <= xmax + r and ymin - r <= ys[i] <= ymax + r
-            for i in range(self._n)
-        )
-
-    # -- wave cohorts -------------------------------------------------------
-    def cells(self, width: float, origin: Point) -> list[tuple[int, int]]:
-        """Wave-cell assignment of every position, in key order.
-
-        Float-op-identical to :meth:`repro.core.agrid.CellGrid.cell_of`
-        evaluated per point (``floor((x - ox + width/2) / width)``), but
-        vectorized over the packed arrays.
-        """
-        if width <= 0:
-            raise ValueError("cell width must be positive")
-        half = width / 2.0
-        ox, oy = float(origin[0]), float(origin[1])
-        # Report in original key order: invert the packing permutation.
-        by_key: dict[Hashable, tuple[int, int]] = {}
-        ix = _np.floor((self._vx - ox + half) / width).astype(_np.int64)
-        iy = _np.floor((self._vy - oy + half) / width).astype(_np.int64)
-        for pos, key in enumerate(self._packed_keys):
-            by_key[key] = (int(ix[pos]), int(iy[pos]))
-        return [by_key[k] for k in self._keys]
-
-    def bucket(
-        self, width: float, origin: Point
-    ) -> dict[tuple[int, int], tuple[Hashable, ...]]:
-        """Cohort membership: wave cell -> sorted keys of its residents."""
-        buckets: dict[tuple[int, int], list[Hashable]] = {}
-        for key, cell in zip(self._keys, self.cells(width, origin)):
-            buckets.setdefault(cell, []).append(key)
-        return {
-            cell: tuple(sorted(members)) for cell, members in buckets.items()
-        }
-
-    def cohort(
-        self,
-        cell: tuple[int, int],
-        width: float,
-        origin: Point,
-        exclude: Iterable[Hashable] = (),
-    ) -> tuple[Hashable, ...]:
-        """Members of ``cell``'s cohort after decimation.
-
-        ``exclude`` removes robots that can never gather — crash-on-wake
-        casualties park where they were woken and drop out of the wave.
-        """
-        dropped = set(exclude)
-        return tuple(
-            k for k in self.bucket(width, origin).get(cell, ()) if k not in dropped
+        vx, vy = self._vx, self._vy
+        return bool(
+            ((vx >= xmin - r) & (vx <= xmax + r) & (vy >= ymin - r) & (vy <= ymax + r)).any()
         )
 
 
 def frontier_for(
-    positions: Sequence[Point],
-    visibility_radius: float,
-    keys: Sequence[Hashable] | None = None,
+    positions: Sequence[Point], visibility_radius: float
 ) -> FrontierIndex:
     """The standard construction: reach = visibility radius + safety pad.
 
@@ -328,4 +210,4 @@ def frontier_for(
     purpose; see :func:`_fault_reach_deficit`.
     """
     reach = visibility_radius + FRONTIER_PAD + EPS - _fault_reach_deficit()
-    return FrontierIndex(positions, reach=max(reach, 1e-9), keys=keys)
+    return FrontierIndex(positions, reach=max(reach, 1e-9))

@@ -33,7 +33,7 @@ import numpy as _np
 
 from .points import EPS, Point
 
-__all__ = ["FrozenGridHash"]
+__all__ = ["FrozenGridHash", "pack_cells"]
 
 #: Below this many points in a cell, a scalar loop beats numpy call
 #: overhead for that cell's slice.
@@ -41,6 +41,44 @@ _SCALAR_CUTOFF = 48
 
 #: Packed cell key: ``(ix << 32) + iy`` (exact for Python ints).
 _Cell = int
+
+
+def pack_cells(
+    points: Sequence[Point], cell_size: float
+) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray, dict[_Cell, tuple[int, int]]]:
+    """Group ``points`` by grid cell ``(floor(x / cell_size), floor(y /
+    cell_size))`` into contiguous slices.
+
+    Returns the packing order (a stable sort by cell, so ties keep input
+    order — the within-cell enumeration convention of ``GridHash``), the
+    packed ``float64`` x and y arrays, and each populated cell's
+    ``(start, stop)`` slice of them keyed by ``(ix << 32) + iy``: no tuple
+    allocation per probe, and int hashing is cheaper than tuple hashing.
+    """
+    if not points:
+        empty = _np.empty(0, dtype=_np.float64)
+        return _np.empty(0, dtype=_np.intp), empty, empty, {}
+    # zip(*points) + np.array beats np.asarray(points): the latter walks
+    # the sequence protocol of every NamedTuple element.
+    xs_in, ys_in = zip(*points)
+    xs_all = _np.array(xs_in, dtype=_np.float64)
+    ys_all = _np.array(ys_in, dtype=_np.float64)
+    cell_ix = _np.floor(xs_all / cell_size).astype(_np.int64)
+    cell_iy = _np.floor(ys_all / cell_size).astype(_np.int64)
+    order = _np.lexsort((cell_iy, cell_ix))
+    ix_sorted = cell_ix[order]
+    iy_sorted = cell_iy[order]
+    breaks = _np.nonzero(
+        (ix_sorted[1:] != ix_sorted[:-1]) | (iy_sorted[1:] != iy_sorted[:-1])
+    )[0]
+    edges = [0, *(b + 1 for b in breaks.tolist()), len(points)]
+    run_ix = ix_sorted[edges[:-1]].tolist()
+    run_iy = iy_sorted[edges[:-1]].tolist()
+    cells = {
+        (run_ix[i] << 32) + run_iy[i]: (edges[i], edges[i + 1])
+        for i in range(len(run_ix))
+    }
+    return order, xs_all[order], ys_all[order], cells
 
 
 class FrozenGridHash:
@@ -71,46 +109,10 @@ class FrozenGridHash:
                 raise ValueError("keys and positions must have equal length")
             if len(set(key_list)) != n:
                 raise ValueError("duplicate keys")
-        size = self.cell_size
-        # Vectorized packing: compute every point's cell, stable-sort by
-        # cell (ties keep input order — the same within-cell enumeration
-        # convention as GridHash), then cut the sorted array into one
-        # contiguous slice per populated cell.
-        if n:
-            # zip(*points) + np.array beats np.asarray(points): the latter
-            # walks the sequence protocol of every NamedTuple element.
-            xs_in, ys_in = zip(*points)
-            xs_all = _np.array(xs_in, dtype=_np.float64)
-            ys_all = _np.array(ys_in, dtype=_np.float64)
-            cell_ix = _np.floor(xs_all / size).astype(_np.int64)
-            cell_iy = _np.floor(ys_all / size).astype(_np.int64)
-            order = _np.lexsort((cell_iy, cell_ix))
-            self._xs = xs_all[order]
-            self._ys = ys_all[order]
-            ix_sorted = cell_ix[order]
-            iy_sorted = cell_iy[order]
-            breaks = _np.nonzero(
-                (ix_sorted[1:] != ix_sorted[:-1]) | (iy_sorted[1:] != iy_sorted[:-1])
-            )[0]
-            edges = [0, *(b + 1 for b in breaks.tolist()), n]
-            run_ix = ix_sorted[edges[:-1]].tolist()
-            run_iy = iy_sorted[edges[:-1]].tolist()
-            # Cells key by the packed int ``(ix << 32) + iy`` (exact for
-            # Python ints): no tuple allocation per probe in query_ball,
-            # and int hashing is cheaper than tuple hashing.
-            self._cells: dict[int, tuple[int, int]] = {
-                (run_ix[i] << 32) + run_iy[i]: (edges[i], edges[i + 1])
-                for i in range(len(run_ix))
-            }
-            order_list = order.tolist()
-            self._points: list[Point] = [points[i] for i in order_list]
-            self._keys: list[Hashable] = [key_list[i] for i in order_list]
-        else:
-            self._xs = _np.empty(0, dtype=_np.float64)
-            self._ys = _np.empty(0, dtype=_np.float64)
-            self._cells = {}
-            self._points = []
-            self._keys = []
+        order, self._xs, self._ys, self._cells = pack_cells(points, self.cell_size)
+        order_list = order.tolist()
+        self._points: list[Point] = [points[i] for i in order_list]
+        self._keys: list[Hashable] = [key_list[i] for i in order_list]
         # Active mask, twice: a numpy array for the vectorized branch and a
         # bytearray mirror for the scalar branch (per-element numpy reads
         # are an order of magnitude slower than a bytearray index).

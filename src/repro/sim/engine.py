@@ -332,16 +332,10 @@ class SimulationResult:
 class Engine:
     """Discrete-event executor for robot-process programs."""
 
-    def __init__(
-        self,
-        world: World,
-        trace: Trace | None = None,
-        co_location_tol: float = CO_LOCATION_TOL,
-    ) -> None:
+    def __init__(self, world: World, trace: Trace | None = None) -> None:
         self.world = world
         self.trace = trace if trace is not None else Trace()
         self.now = 0.0
-        self.co_location_tol = co_location_tol
         self.visibility_radius = world.visibility_radius
         self._processes: Dict[int, _Process] = {}
         self._owned: set[int] = set()        # robots owned by a live process
@@ -402,22 +396,14 @@ class Engine:
                 raise ProtocolError(f"robot {rid} is already owned by a process")
         base = robots[ids[0]].position if position is None else position
         for rid in ids:
-            if not close_to(robots[rid].position, base, self.co_location_tol):
+            if not close_to(robots[rid].position, base, CO_LOCATION_TOL):
                 raise CoLocationError(f"robot {rid} is not at {base}")
             if rid in self._idle:
                 self._unidle(rid)
             self._owned.add(rid)
-        pid = next(self._pid_counter)
-        generator = program(ProcessView(self, pid))
         speed = min(robots[rid].speed for rid in ids)
-        proc = _Process(pid, generator, ids, base, speed)
-        self._processes[pid] = proc
-        self._park(proc)
+        pid = self._start(program, ids, base, speed)
         self._look_cache.clear()
-        self._schedule(self.now, pid, Result(self.now, None))
-        trace = self.trace
-        if trace.enabled:
-            trace.append(self.now, "process_start", pid, {"robots": list(ids)})
         return pid
 
     def run(self, until: float | None = None) -> SimulationResult:
@@ -465,6 +451,21 @@ class Engine:
     # ------------------------------------------------------------------
     def _blocked_parties(self) -> bool:
         return any(not st.released and st.arrived for st in self._barriers.values())
+
+    def _start(
+        self, program: Program, ids: list[int], position: Point, speed: float
+    ) -> int:
+        """Create a process owning ``ids`` at ``position``, stand it there
+        and schedule its first step now; returns its pid."""
+        pid = next(self._pid_counter)
+        proc = _Process(pid, program(ProcessView(self, pid)), ids, position, speed)
+        self._processes[pid] = proc
+        self._park(proc)
+        self._schedule(self.now, pid, Result(self.now, None))
+        trace = self.trace
+        if trace.enabled:
+            trace.append(self.now, "process_start", pid, {"robots": list(ids)})
+        return pid
 
     def _schedule(self, time: float, pid: int, value: Result) -> None:
         heapq.heappush(self._queue, (time, next(self._seq), pid, value))
@@ -1012,7 +1013,7 @@ class Engine:
             raise WakeError(f"unknown robot {action.robot_id}")
         if robot.awake:
             raise WakeError(f"robot {action.robot_id} is already awake")
-        if not close_to(robot.position, proc.position, self.co_location_tol):
+        if not close_to(robot.position, proc.position, CO_LOCATION_TOL):
             raise CoLocationError(
                 f"process {proc.pid} at {proc.position} cannot wake robot "
                 f"{action.robot_id} at {robot.position}"
@@ -1048,17 +1049,9 @@ class Engine:
             if robot.speed < proc.speed:
                 proc.speed = robot.speed
             return None
-        pid = next(self._pid_counter)
-        generator = action.program(ProcessView(self, pid))
-        child = _Process(pid, generator, [action.robot_id], robot.position, robot.speed)
-        self._processes[pid] = child
-        self._park(child)
-        self._schedule(self.now, pid, Result(self.now, None))
-        if trace.enabled:
-            trace.append(
-                self.now, "process_start", pid, {"robots": [action.robot_id]}
-            )
-        return pid
+        return self._start(
+            action.program, [action.robot_id], robot.position, robot.speed
+        )
 
     def _do_fork(self, proc: _Process, action: Fork) -> list[int]:
         owned = set(proc.robot_ids)
@@ -1078,18 +1071,8 @@ class Engine:
         for ids, prog in action.assignments:
             if not ids:
                 raise ForkError("empty robot group in fork")
-            pid = next(self._pid_counter)
-            generator = prog(ProcessView(self, pid))
             speed = min(robots[rid].speed for rid in ids)
-            child = _Process(pid, generator, list(ids), proc.position, speed)
-            self._processes[pid] = child
-            self._park(child)
-            self._schedule(self.now, pid, Result(self.now, None))
-            if trace.enabled:
-                trace.append(
-                    self.now, "process_start", pid, {"robots": list(ids)}
-                )
-            children.append(pid)
+            children.append(self._start(prog, list(ids), proc.position, speed))
         # The children parked on the parent's site, which staled its views.
         proc.robot_ids = [rid for rid in proc.robot_ids if rid not in assigned]
         proc.speed = min(robots[rid].speed for rid in proc.robot_ids)
@@ -1118,7 +1101,7 @@ class Engine:
         # Last party: verify co-location of all parties, then release.
         positions = [self._processes[p].position for p in state.arrived]
         for pos in positions[1:]:
-            if not close_to(pos, positions[0], self.co_location_tol):
+            if not close_to(pos, positions[0], CO_LOCATION_TOL):
                 raise BarrierError(
                     f"barrier {action.key!r} released with parties at distinct "
                     f"positions {positions[0]} vs {pos}"
@@ -1144,7 +1127,7 @@ class Engine:
                 raise AbsorbError(f"robot {rid} crashed on wake; it cannot rejoin")
             if rid not in self._idle:
                 raise AbsorbError(f"robot {rid} is not idle (still owned)")
-            if not close_to(robot.position, proc.position, self.co_location_tol):
+            if not close_to(robot.position, proc.position, CO_LOCATION_TOL):
                 raise AbsorbError(
                     f"robot {rid} at {robot.position} is not co-located with "
                     f"process {proc.pid} at {proc.position}"

@@ -14,6 +14,7 @@ from repro.core.agrid import (
     agrid_window,
     agrid_window_start,
 )
+from repro.core.awave import awave_round_start, awave_window_start
 from repro.core.runner import run_agrid
 from repro.geometry import Point
 from repro.instances import (
@@ -71,7 +72,176 @@ class TestCellGrid:
         }
 
 
+#: ``float.hex()`` per ``(ell, round, speed_floor)``: AGrid's round start,
+#: window 1 and window 8, then AWave's round start, window 1 and window 8.
+_CLOCK_HEX = {
+    (1, 1, 1.0): (
+        "0x1.f818f8ce34e31p+5", "0x1.f818f8ce34e31p+6", "0x1.1b8e0bf3fdbfcp+9",
+        "0x1.d5413cccfe77ap+13", "0x1.d5413cccfe77ap+14", "0x1.07f4b2334f235p+17",
+    ),
+    (1, 1, 0.3): (
+        "0x1.a414cf568167ep+7", "0x1.a414cf568167ep+8", "0x1.d89769415194ep+10",
+        "0x1.870bb2aad40e6p+15", "0x1.870bb2aad40e6p+16", "0x1.b7ed29002e903p+18",
+    ),
+    (1, 1, 0.05): (
+        "0x1.3b0f9b80e10dep+10", "0x1.3b0f9b80e10dep+11", "0x1.62718ef0fd2fap+13",
+        "0x1.2548c6001f0acp+18", "0x1.2548c6001f0acp+19", "0x1.49f1dec022ec2p+21",
+    ),
+    (1, 3, 1.0): (
+        "0x1.2b4ed3ba6f66ep+10", "0x1.3b0f9b80e10e0p+10", "0x1.a95511edfc9fap+10",
+        "0x1.169ebc19b7171p+18", "0x1.2548c6001f0adp+18", "0x1.8bef0b4cf6b50p+18",
+    ),
+    (1, 3, 0.3): (
+        "0x1.f2d8b636b9ab6p+11", "0x1.068d019610e0fp+12", "0x1.62718ef0fd2fap+12",
+        "0x1.d05de42adbd11p+19", "0x1.e8ce9f558911fp+19", "0x1.49f1dec022ec2p+20",
+    ),
+    (1, 3, 0.05): (
+        "0x1.762288a90b408p+14", "0x1.89d3826119516p+14", "0x1.09d52b34bde3cp+15",
+        "0x1.5c466b2024dcdp+22", "0x1.6e9af78026cd8p+22", "0x1.eeeace2034623p+22",
+    ),
+    (1, 12, 1.0): (
+        "0x1.89d3826119516p+12", "0x1.8dc3b452b5bb2p+12", "0x1.a95511edfc9f9p+12",
+        "0x1.6e9af78026cd7p+20", "0x1.724579f9c0ca6p+20", "0x1.8bef0b4cf6b4fp+20",
+    ),
+    (1, 12, 0.3): (
+        "0x1.483041fb95192p+14", "0x1.4b786b9a421bfp+14", "0x1.62718ef0fd2fap+14",
+        "0x1.3181239575ab4p+22", "0x1.348f3afacb536p+22", "0x1.49f1dec022ec2p+22",
+    ),
+    (1, 12, 0.05): (
+        "0x1.ec4862f95fa5ap+16", "0x1.f134a1676329dp+16", "0x1.09d52b34bde3bp+17",
+        "0x1.ca41b5603080dp+24", "0x1.ced6d87830fd0p+24", "0x1.eeeace2034622p+24",
+    ),
+    (2, 1, 1.0): (
+        "0x1.edc12067d4b21p+6", "0x1.edc12067d4b21p+7", "0x1.15bca23a67a43p+10",
+        "0x1.d5413cccfe77ap+13", "0x1.d5413cccfe77ap+14", "0x1.07f4b2334f235p+17",
+    ),
+    (2, 1, 0.3): (
+        "0x1.9b7645abdbe9cp+8", "0x1.9b7645abdbe9cp+9", "0x1.cee50e6157670p+11",
+        "0x1.870bb2aad40e6p+15", "0x1.870bb2aad40e6p+16", "0x1.b7ed29002e903p+18",
+    ),
+    (2, 1, 0.05): (
+        "0x1.3498b440e4ef4p+11", "0x1.3498b440e4ef4p+12", "0x1.5b2bcac9018d2p+14",
+        "0x1.2548c6001f0acp+18", "0x1.2548c6001f0acp+19", "0x1.49f1dec022ec2p+21",
+    ),
+    (2, 3, 1.0): (
+        "0x1.252aab3da649cp+11", "0x1.3498b440e4ef5p+11", "0x1.a09af3579b764p+11",
+        "0x1.169ebc19b7171p+18", "0x1.2548c6001f0adp+18", "0x1.8bef0b4cf6b50p+18",
+    ),
+    (2, 3, 0.3): (
+        "0x1.e89c72bc1525ap+12", "0x1.0129eb8b69722p+13", "0x1.5b2bcac9018d4p+13",
+        "0x1.d05de42adbd11p+19", "0x1.e8ce9f558911fp+19", "0x1.49f1dec022ec2p+20",
+    ),
+    (2, 3, 0.05): (
+        "0x1.6e75560d0fdc1p+15", "0x1.81bee1511e2b0p+15", "0x1.0460d816c129ep+16",
+        "0x1.5c466b2024dcdp+22", "0x1.6e9af78026cd8p+22", "0x1.eeeace2034623p+22",
+    ),
+    (2, 12, 1.0): (
+        "0x1.81bee1511e2b2p+13", "0x1.859a6391edd48p+13", "0x1.a09af3579b764p+13",
+        "0x1.6e9af78026cd7p+20", "0x1.724579f9c0ca6p+20", "0x1.8bef0b4cf6b4fp+20",
+    ),
+    (2, 12, 0.3): (
+        "0x1.4174666e43ceap+15", "0x1.44ab52f99b867p+15", "0x1.5b2bcac9018d4p+15",
+        "0x1.3181239575ab4p+22", "0x1.348f3afacb536p+22", "0x1.49f1dec022ec2p+22",
+    ),
+    (2, 12, 0.05): (
+        "0x1.e22e99a565b5dp+17", "0x1.e700fc7669499p+17", "0x1.0460d816c129ep+18",
+        "0x1.ca41b5603080dp+24", "0x1.ced6d87830fd0p+24", "0x1.eeeace2034622p+24",
+    ),
+    (4, 1, 1.0): (
+        "0x1.054310e731b9ap+8", "0x1.054310e731b9ap+9", "0x1.25eb730417f0dp+11",
+        "0x1.d5413cccfe77ap+13", "0x1.d5413cccfe77ap+14", "0x1.07f4b2334f235p+17",
+    ),
+    (4, 1, 0.3): (
+        "0x1.b36fc6d6a8356p+9", "0x1.b36fc6d6a8356p+10", "0x1.e9ddbfb17d3c1p+12",
+        "0x1.870bb2aad40e6p+15", "0x1.870bb2aad40e6p+16", "0x1.b7ed29002e903p+18",
+    ),
+    (4, 1, 0.05): (
+        "0x1.4693d520fe280p+12", "0x1.4693d520fe280p+13", "0x1.6f664fc51ded0p+15",
+        "0x1.2548c6001f0acp+18", "0x1.2548c6001f0acp+19", "0x1.49f1dec022ec2p+21",
+    ),
+    (4, 3, 1.0): (
+        "0x1.363fa4128b0c7p+12", "0x1.4693d520fe281p+12", "0x1.b8e12c8623e94p+12",
+        "0x1.169ebc19b7171p+18", "0x1.2548c6001f0adp+18", "0x1.8bef0b4cf6b50p+18",
+    ),
+    (4, 3, 0.3): (
+        "0x1.028a5e0f73dfbp+14", "0x1.1025dc4629216p+14", "0x1.6f664fc51ded0p+14",
+        "0x1.d05de42adbd11p+19", "0x1.e8ce9f558911fp+19", "0x1.49f1dec022ec2p+20",
+    ),
+    (4, 3, 0.05): (
+        "0x1.83cf8d172dcf8p+16", "0x1.9838ca693db20p+16", "0x1.138cbbd3d671cp+17",
+        "0x1.5c466b2024dcdp+22", "0x1.6e9af78026cd8p+22", "0x1.eeeace2034623p+22",
+    ),
+    (4, 12, 1.0): (
+        "0x1.9838ca693db20p+14", "0x1.9c4dd6acda78ep+14", "0x1.b8e12c8623e93p+14",
+        "0x1.6e9af78026cd7p+20", "0x1.724579f9c0ca6p+20", "0x1.8bef0b4cf6b4fp+20",
+    ),
+    (4, 12, 0.3): (
+        "0x1.542f5357b369cp+16", "0x1.579632e560ba3p+16", "0x1.6f664fc51ded1p+16",
+        "0x1.3181239575ab4p+22", "0x1.348f3afacb536p+22", "0x1.49f1dec022ec2p+22",
+    ),
+    (4, 12, 0.05): (
+        "0x1.fe46fd038d1e8p+18", "0x1.01b0a62c088b9p+19", "0x1.138cbbd3d671cp+19",
+        "0x1.ca41b5603080dp+24", "0x1.ced6d87830fd0p+24", "0x1.eeeace2034622p+24",
+    ),
+    (7, 1, 1.0): (
+        "0x1.fe6c671b3b1d7p+8", "0x1.fe6c671b3b1d7p+9", "0x1.1f1cf9ff51409p+12",
+        "0x1.bf5ad9f115bcbp+15", "0x1.bf5ad9f115bcbp+16", "0x1.f746352f38744p+18",
+    ),
+    (7, 1, 0.3): (
+        "0x1.a95a55ec06989p+10", "0x1.a95a55ec06989p+11", "0x1.de85a0a9876bap+13",
+        "0x1.74cbb59e3cc7fp+17", "0x1.74cbb59e3cc7fp+18", "0x1.a3652c520460fp+20",
+    ),
+    (7, 1, 0.05): (
+        "0x1.3f03c07104f26p+13", "0x1.3f03c07104f26p+14", "0x1.66e4387f2590bp+16",
+        "0x1.1798c836ad95fp+20", "0x1.1798c836ad95fp+21", "0x1.3a8be13d8348bp+23",
+    ),
+    (7, 3, 1.0): (
+        "0x1.2f105d382b198p+13", "0x1.3f03c07104f27p+13", "0x1.aeab76fef9e0ep+13",
+        "0x1.099df16724e80p+20", "0x1.1798c836ad95ep+20", "0x1.7974a7e36a573p+20",
+    ),
+    (7, 3, 0.3): (
+        "0x1.f91b460847d53p+14", "0x1.09d875b3841f6p+15", "0x1.66e4387f2590cp+15",
+        "0x1.bab1e7abe82d7p+21", "0x1.d1fea305cbf9fp+21", "0x1.3a8be13d8348bp+22",
+    ),
+    (7, 3, 0.05): (
+        "0x1.7ad4748635dfdp+17", "0x1.8ec4b08d462efp+17", "0x1.0d2b2a5f5c2c8p+18",
+        "0x1.4c056dc0ee221p+24", "0x1.5d7efa4458fb7p+24", "0x1.d7d1d1dc44ed0p+24",
+    ),
+    (7, 12, 1.0): (
+        "0x1.8ec4b08d462f0p+15", "0x1.92c1895b7ca54p+15", "0x1.aeab76fef9e0dp+15",
+        "0x1.5d7efa4458fb7p+22", "0x1.60fdaff83b26fp+22", "0x1.7974a7e36a574p+22",
+    ),
+    (7, 12, 0.3): (
+        "0x1.4c4e932065273p+17", "0x1.4fa147cc3d346p+17", "0x1.66e4387f2590cp+17",
+        "0x1.233f25e39f7c3p+24", "0x1.2628bd4edbf5cp+24", "0x1.3a8be13d8348bp+24",
+    ),
+    (7, 12, 0.05): (
+        "0x1.f275dcb097bacp+19", "0x1.f771ebb25bce9p+19", "0x1.0d2b2a5f5c2c8p+20",
+        "0x1.b4deb8d56f3a4p+26", "0x1.b93d1bf649f09p+26", "0x1.d7d1d1dc44ed0p+26",
+    ),
+}
+
+
 class TestWindows:
+    @pytest.mark.parametrize("ell", [1, 2, 4, 7])
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    @pytest.mark.parametrize("speed_floor", [1.0, 0.3, 0.05])
+    def test_wave_clock_is_bit_exact(self, ell, k, speed_floor):
+        """AGrid and AWave share one wave clock, and no deadline moved by
+        one bit when they began to: the expected strings were captured
+        from these four functions while each algorithm still kept its own
+        copy of the arithmetic (and AWave a numpy deadline table pinned to
+        it), including ``speed_floor < 1`` worlds."""
+        got = (
+            agrid_round_start(ell, k, speed_floor),
+            agrid_window_start(ell, k, 1, speed_floor),
+            agrid_window_start(ell, k, 8, speed_floor),
+            awave_round_start(ell, k, speed_floor),
+            awave_window_start(ell, k, 1, speed_floor),
+            awave_window_start(ell, k, 8, speed_floor),
+        )
+        assert tuple(t.hex() for t in got) == _CLOCK_HEX[(ell, k, speed_floor)]
+
     def test_window_is_quadratic_in_ell(self):
         assert agrid_window(4) > agrid_window(2) > agrid_window(1)
         # Θ(ell^2): the doubling ratio tends to 4 once the quadratic

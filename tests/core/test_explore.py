@@ -208,7 +208,7 @@ class TestBatchedWalk:
         assert [Point(*p) for p in walked] == expected
         # Snapshots are taken exactly at the stops that can see a sleeper.
         frontier = frontier_for(sleepers, 1.0)
-        assert looked_at == [k for k, hot in enumerate(frontier.hot_stops(stops)) if hot]
+        assert looked_at == [k for k, stop in enumerate(stops) if frontier.any_within(stop)]
         assert report.snapshots == len(stops)
         if not sleepers:
             assert len(actions) == 1  # an entirely cold rectangle is one run

@@ -1,18 +1,10 @@
-"""Property tests: the frontier index vs its scalar oracles.
+"""Property tests: the frontier index vs its scalar oracle.
 
-The sparse wave frontier is only sound if every one of its batch answers
-matches the brute-force scalar computation it replaces:
-
-* hot-stop classification == a plain closed-disk distance loop, including
-  stops engineered exactly on the ``reach`` boundary (the ``radius ± EPS``
-  band where squared-distance rounding could flip a decision);
-* wave-cell cohort membership == per-point ``CellGrid.cell_of``, including
-  coordinates landing exactly on half-open cell boundaries, and with
-  crash-on-wake decimation (excluded robots drop out, nobody else moves);
-* the batched deadline table (:func:`repro.core.awave.awave_schedule`) ==
-  the scalar window arithmetic *bit-for-bit*, including ``speed_floor <
-  1`` worlds — a single ulp of drift would shift ``WaitUntil`` deadlines
-  and break the differential equivalence contract.
+The sparse wave frontier is only sound if every one of its answers
+matches the brute-force closed-disk distance loop it replaces, including
+stops engineered exactly on the ``reach`` boundary (the ``radius ± EPS``
+band where squared-distance rounding could flip a decision), and if a
+rejected rectangle holds no position within reach.
 """
 
 import math
@@ -20,12 +12,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.agrid import CellGrid
-from repro.core.awave import (
-    awave_round_start,
-    awave_schedule,
-    awave_window_start,
-)
 from repro.geometry import FrontierIndex, Point, frontier_for
 
 COORD = st.floats(
@@ -43,7 +29,7 @@ class TestHotStops:
     @settings(max_examples=120, deadline=None)
     def test_matches_scalar_oracle(self, points, stops):
         index = FrontierIndex([Point(*p) for p in points], reach=2.5)
-        mask = index.hot_stops([Point(*s) for s in stops])
+        mask = [index.any_within(Point(*s)) for s in stops]
         assert mask == [brute_any_within(points, s, 2.5) for s in stops]
 
     @given(
@@ -78,72 +64,6 @@ class TestHotStops:
 
     def test_empty_index(self):
         index = frontier_for([], 1.0)
-        assert index.hot_stops([Point(0, 0)]) == [False]
         assert not index.any_within(Point(0, 0))
         assert not index.rect_overlaps(-5, -5, 5, 5)
 
-
-class TestCohorts:
-    @given(
-        points=POINTS,
-        width=st.floats(min_value=0.5, max_value=64.0),
-        ox=COORD,
-        oy=COORD,
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_cells_match_cellgrid(self, points, width, ox, oy):
-        """Vectorized cell assignment == per-point CellGrid.cell_of."""
-        pts = [Point(*p) for p in points]
-        keys = list(range(1, len(pts) + 1))
-        index = FrontierIndex(pts, reach=1.0, keys=keys)
-        grid = CellGrid(source=Point(ox, oy), width=width)
-        assert index.cells(width, Point(ox, oy)) == [grid.cell_of(p) for p in pts]
-
-    @given(
-        coords=st.lists(
-            st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-            min_size=1, max_size=40,
-        ),
-        crashed=st.sets(st.integers(min_value=1, max_value=40)),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_cohort_decimation(self, coords, crashed):
-        """Exact half-open boundaries + crash-on-wake decimation.
-
-        Integer coordinates with width=2 put points exactly on cell
-        boundaries; membership must follow the half-open convention, and
-        excluding the crashed set removes exactly those robots.
-        """
-        pts = [Point(float(x), float(y)) for x, y in coords]
-        keys = list(range(1, len(pts) + 1))
-        index = FrontierIndex(pts, reach=1.0, keys=keys)
-        grid = CellGrid(source=Point(0.0, 0.0), width=2.0)
-        buckets = index.bucket(2.0, Point(0.0, 0.0))
-        oracle = {}
-        for key, p in zip(keys, pts):
-            oracle.setdefault(grid.cell_of(p), []).append(key)
-        assert buckets == {c: tuple(sorted(ks)) for c, ks in oracle.items()}
-        for cell, members in buckets.items():
-            survivors = index.cohort(cell, 2.0, Point(0.0, 0.0), exclude=crashed)
-            assert survivors == tuple(k for k in members if k not in crashed)
-
-
-class TestWindowArithmetic:
-    @given(
-        ell=st.integers(min_value=1, max_value=9),
-        speed_floor=st.floats(min_value=0.05, max_value=1.0),
-        max_round=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_schedule_matches_scalar_bit_for_bit(self, ell, speed_floor, max_round):
-        rounds, windows = awave_schedule(ell, max_round, speed_floor)
-        assert len(rounds) == max_round
-        for r in range(1, max_round + 1):
-            assert rounds[r - 1] == awave_round_start(ell, r, speed_floor)
-            for i in range(1, 9):
-                assert windows[r - 1][i - 1] == awave_window_start(
-                    ell, r, i, speed_floor
-                )
-
-    def test_empty_schedule(self):
-        assert awave_schedule(2, 0) == ([], [])
