@@ -264,14 +264,12 @@ def run_program(
 ) -> AlgorithmRun:
     """Run ``program`` as the source process on a fresh world.
 
-    ``world`` selects the world model (speeds, visibility, failure
-    injection); ``budget`` is the algorithm's enforced per-robot cap and
-    composes with the model's own budgets (both apply).
+    ``world`` selects the world model (speeds, visibility, budgets,
+    failure injection; the paper's world when omitted); ``budget`` is the
+    algorithm's enforced per-robot cap and composes with the model's own
+    budgets (both apply).
     """
-    if world is None:
-        sim_world = instance.world(budget=budget)
-    else:
-        sim_world = instance.world(config=world.with_budget_cap(budget))
+    sim_world = instance.world((world or WorldConfig()).with_budget_cap(budget))
     engine = Engine(sim_world, trace=trace)
     engine.spawn(program, robot_ids=[SOURCE_ID])
     result = engine.run()

@@ -41,8 +41,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as _np
-
 from .frozen import pack_cells
 from .points import EPS, Point
 
@@ -54,10 +52,6 @@ __all__ = ["FRONTIER_PAD", "FrontierIndex", "frontier_for"]
 #: dominates the look limit with room for squared-distance rounding.
 #: (A hot misclassification only costs a redundant snapshot — safe.)
 FRONTIER_PAD = 1e-6
-
-#: Below this many points in a cell, a scalar loop beats numpy call
-#: overhead in :meth:`FrontierIndex.any_within`.
-_SCALAR_CUTOFF = 32
 
 
 def _fault_reach_deficit() -> float:
@@ -152,18 +146,7 @@ class FrontierIndex:
                 bounds = cells_get(base + iy)
                 if bounds is None:
                     continue
-                start, stop = bounds
-                if stop - start >= _SCALAR_CUTOFF:
-                    dx = self._vx[start:stop] - x
-                    dy = self._vy[start:stop] - y
-                    d_sq = dx * dx + dy * dy
-                    if bool((d_sq < lo).any()):
-                        return True
-                    for j in _np.nonzero(d_sq <= hi)[0]:
-                        if math.hypot(dx[j], dy[j]) <= reach:
-                            return True
-                    continue
-                for i in range(start, stop):
+                for i in range(*bounds):
                     dx = xs[i] - x
                     dy = ys[i] - y
                     d_sq = dx * dx + dy * dy

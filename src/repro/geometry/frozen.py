@@ -1,19 +1,17 @@
-"""Vectorized frozen spatial index for the static sleeping-robot set.
+"""Frozen spatial index for the static sleeping-robot set.
 
 The sleeping index is the hottest geometric structure in the simulator:
-every ``Look`` snapshot queries it, and at scale (10^5 sleepers) the
-per-point Python loop of :class:`~repro.geometry.gridhash.GridHash`
-dominates the run.  Sleeping robots never *move* — they only disappear
-one by one as they wake — so the index can be packed once at
+every ``Look`` snapshot queries it.  Sleeping robots never *move* — they
+only disappear one by one as they wake — so the index is packed once at
 :class:`~repro.sim.world.World` construction:
 
-* positions are laid out in two contiguous ``float64`` arrays, grouped
-  by grid cell (cell -> one ``(start, stop)`` slice);
-* a wake is an O(1) flip of a boolean *active* mask — no repacking;
-* ``query_ball`` gathers the candidate slices of the covering cell block
-  and answers with a vectorized squared-distance mask; tiny candidate
-  sets short-circuit into a scalar loop, which beats array overhead at
-  typical snapshot densities.
+* points are grouped by grid cell (:func:`pack_cells`, one vectorized
+  lexsort), so each populated cell is one contiguous ``(start, stop)``
+  slice of the packed point list;
+* a wake is an O(1) flip of a ``bytearray`` *alive* mask — no repacking;
+* ``query_ball`` walks the covering cell block and scans each cell's
+  slice with one scalar loop (snapshot cells hold a handful of points,
+  where a tight loop beats numpy call overhead).
 
 Boundary semantics are *identical* to ``GridHash.query_ball`` (and hence
 to the brute-force ``math.hypot`` oracle): membership is the closed
@@ -27,6 +25,8 @@ equivalence is pinned by randomized property tests in
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, lshift
 from typing import Hashable, Iterator, Sequence
 
 import numpy as _np
@@ -34,10 +34,6 @@ import numpy as _np
 from .points import EPS, Point
 
 __all__ = ["FrozenGridHash", "pack_cells"]
-
-#: Below this many points in a cell, a scalar loop beats numpy call
-#: overhead for that cell's slice.
-_SCALAR_CUTOFF = 48
 
 #: Packed cell key: ``(ix << 32) + iy`` (exact for Python ints).
 _Cell = int
@@ -68,16 +64,14 @@ def pack_cells(
     order = _np.lexsort((cell_iy, cell_ix))
     ix_sorted = cell_ix[order]
     iy_sorted = cell_iy[order]
-    breaks = _np.nonzero(
-        (ix_sorted[1:] != ix_sorted[:-1]) | (iy_sorted[1:] != iy_sorted[:-1])
-    )[0]
-    edges = [0, *(b + 1 for b in breaks.tolist()), len(points)]
-    run_ix = ix_sorted[edges[:-1]].tolist()
-    run_iy = iy_sorted[edges[:-1]].tolist()
-    cells = {
-        (run_ix[i] << 32) + run_iy[i]: (edges[i], edges[i + 1])
-        for i in range(len(run_ix))
-    }
+    first = _np.ones(len(points), dtype=bool)
+    first[1:] = (ix_sorted[1:] != ix_sorted[:-1]) | (iy_sorted[1:] != iy_sorted[:-1])
+    starts = _np.flatnonzero(first)
+    edges = starts.tolist()
+    edges.append(len(points))
+    keys = map(add, map(lshift, ix_sorted[starts].tolist(), repeat(32)),
+               iy_sorted[starts].tolist())
+    cells = dict(zip(keys, zip(edges, edges[1:])))
     return order, xs_all[order], ys_all[order], cells
 
 
@@ -107,36 +101,23 @@ class FrozenGridHash:
             key_list = list(keys)
             if len(key_list) != n:
                 raise ValueError("keys and positions must have equal length")
-            if len(set(key_list)) != n:
-                raise ValueError("duplicate keys")
-        order, self._xs, self._ys, self._cells = pack_cells(points, self.cell_size)
+        # The packed x/y arrays are FrontierIndex's; their two n-element
+        # copies are under 1% of this build, the price of one packer.
+        order, _, _, self._cells = pack_cells(points, self.cell_size)
         order_list = order.tolist()
-        self._points: list[Point] = [points[i] for i in order_list]
-        self._keys: list[Hashable] = [key_list[i] for i in order_list]
-        # Active mask, twice: a numpy array for the vectorized branch and a
-        # bytearray mirror for the scalar branch (per-element numpy reads
-        # are an order of magnitude slower than a bytearray index).
-        self._active = _np.ones(n, dtype=bool)
+        self._points: list[Point] = list(map(points.__getitem__, order_list))
+        self._keys: list[Hashable] = list(map(key_list.__getitem__, order_list))
+        #: key -> packed slot of every active key.
+        self._index_of: dict[Hashable, int] = dict(zip(self._keys, range(n)))
+        if len(self._index_of) != n:
+            raise ValueError("duplicate keys")
         self._alive = bytearray(b"\x01") * n
-        # key -> packed slot, built lazily on the first keyed operation: a
-        # run that never wakes anyone (pure query workloads) skips it.
-        self._index_lazy: dict[Hashable, int] | None = None
         self._count = n
-
-    @property
-    def _index_of(self) -> dict[Hashable, int]:
-        index = self._index_lazy
-        if index is None:
-            index = self._index_lazy = {
-                key: slot for slot, key in enumerate(self._keys)
-            }
-        return index
 
     # -- mutation (deactivation only) --------------------------------------
     def remove(self, key: Hashable) -> Point:
         """Deactivate ``key`` and return its position (KeyError if absent)."""
         slot = self._index_of.pop(key)
-        self._active[slot] = False
         self._alive[slot] = 0
         self._count -= 1
         return self._points[slot]
@@ -201,35 +182,18 @@ class FrozenGridHash:
                 span = cells_get(base + iy)
                 if span is None:
                     continue
-                start, stop = span
-                if stop - start < _SCALAR_CUTOFF:
-                    # Scalar: at snapshot densities (a handful of points
-                    # per cell) a tight loop beats numpy call overhead.
-                    slot = start
-                    while slot < stop:
-                        if alive[slot]:
-                            pos = points[slot]
-                            dx = pos[0] - x0
-                            dy = pos[1] - y0
-                            d_sq = dx * dx + dy * dy
-                            if d_sq < lo or (
-                                d_sq <= hi and math.hypot(dx, dy) <= limit
-                            ):
-                                append((keys[slot], pos))
-                        slot += 1
-                else:
-                    # Vectorized squared-distance mask over the cell slice;
-                    # candidates in the rounding band re-checked exactly.
-                    dx = self._xs[start:stop] - x0
-                    dy = self._ys[start:stop] - y0
-                    d_sq = dx * dx + dy * dy
-                    mask = self._active[start:stop] & (d_sq <= hi)
-                    for local in _np.nonzero(mask)[0]:
-                        slot = start + int(local)
-                        if d_sq[local] < lo or math.hypot(
-                            float(dx[local]), float(dy[local])
-                        ) <= limit:
-                            append((keys[slot], points[slot]))
+                slot, stop = span
+                while slot < stop:
+                    if alive[slot]:
+                        pos = points[slot]
+                        dx = pos[0] - x0
+                        dy = pos[1] - y0
+                        d_sq = dx * dx + dy * dy
+                        if d_sq < lo or (
+                            d_sq <= hi and math.hypot(dx, dy) <= limit
+                        ):
+                            append((keys[slot], pos))
+                    slot += 1
         return found
 
     def query_keys(

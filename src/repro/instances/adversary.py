@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from ..geometry import Point, distance
-from ..sim import SOURCE_ID, Engine, Trace
+from ..sim import SOURCE_ID, Engine, Trace, WorldConfig
 from ..sim.actions import Program
 from .lower_bounds import GridOfDisks
 from .spec import Instance
@@ -69,7 +69,7 @@ def record_look_positions(
     Returns the coverage map and the run's makespan.  Energy overruns are
     tolerated here (the probe only measures what *could* be seen).
     """
-    world = instance.world(budget=budget)
+    world = instance.world(WorldConfig(budget=budget))
     trace = Trace(keep_looks=True)
     engine = Engine(world, trace=trace)
     engine.spawn(program, robot_ids=[SOURCE_ID])

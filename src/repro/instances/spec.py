@@ -81,26 +81,13 @@ class Instance:
         return ell, rho
 
     # -- simulation --------------------------------------------------------
-    def world(
-        self,
-        budget: float = math.inf,
-        source_budget: float | None = None,
-        config: WorldConfig | None = None,
-    ) -> World:
+    def world(self, config: WorldConfig | None = None) -> World:
         """A fresh mutable world for one simulation run.
 
         ``config`` is the full world model (speeds, visibility, budgets,
-        failure injection); the legacy ``budget``/``source_budget``
-        arguments cover the common uniform-budget case and cannot be
-        combined with it.
+        failure injection); omitted, it is the paper's world.
         """
-        return World(
-            source=self.source,
-            positions=list(self.positions),
-            budget=budget,
-            source_budget=source_budget,
-            config=config,
-        )
+        return World(source=self.source, positions=list(self.positions), config=config)
 
     # -- misc --------------------------------------------------------------
     def translated(self, dx: float, dy: float) -> "Instance":

@@ -111,7 +111,6 @@ class _Process:
         "generator",
         "robot_ids",
         "position",
-        "state",
         "started",
         "speed",
         "site",
@@ -137,7 +136,6 @@ class _Process:
         self.generator = generator
         self.robot_ids = robot_ids
         self.position = position
-        self.state = "ready"  # ready | moving | team | waiting | barrier | done
         self.started = False
         #: Cached team speed: the slowest member (the team moves together).
         #: Maintained on every membership change instead of rescanned per
@@ -148,8 +146,9 @@ class _Process:
         #: (exactly one of the two is set for a live process).
         self.site: _Site | None = None
         self.convoy: _Convoy | None = None
-        # Motion state, valid while state == "moving"; lets other processes
-        # interpolate this process's position for Look snapshots.
+        # Motion state, set while the process is moving (``motion_to`` is
+        # not None); lets other processes interpolate this process's
+        # position for Look snapshots.
         self.motion_from: Point | None = None
         self.motion_start = 0.0
         self.motion_to: Point | None = None
@@ -176,7 +175,6 @@ class _Process:
         """Put the process in flight on ``run`` (a lattice run or a tour)
         from ``origin`` at ``now``, reaching ``target`` at ``ends[-1]``
         (``ends``: per-segment ends)."""
-        self.state = "moving"
         self.motion_from = origin
         self.motion_start = now
         self.motion_to = target
@@ -199,7 +197,7 @@ class _Process:
         arithmetic replicates :func:`~repro.geometry.convex_combination`
         exactly — a hit converts to the identical ``Point``.
         """
-        if self.state != "moving" or self.motion_from is None or self.motion_to is None:
+        if self.motion_to is None:
             p = self.position
             return p[0], p[1]
         if time >= self.motion_end:
@@ -427,11 +425,11 @@ class Engine:
             if time > self.now:
                 self.now = time
             proc = processes.get(pid)
-            if proc is None or proc.state == "done":
+            if proc is None:
                 continue
             if type(value.value) is _Step:
-                # An engine-internal step (a team landing or its hop): the
-                # generator is not resumed yet.
+                # An engine-internal step (a team sweep's hop or landing):
+                # the generator is not resumed yet.
                 value.value.advance()
                 continue
             self._resume(proc, value)
@@ -476,14 +474,13 @@ class Engine:
         # its robots' positions while it owns them, and the engine writes
         # them back at the observation points (finish, wake, absorb) — a
         # per-move per-robot sync would be O(team) on every segment.
-        if proc.state == "moving" and proc.motion_to is not None:
+        if proc.motion_to is not None:
             proc.position = proc.motion_to
             proc.motion_from = proc.motion_to = None
             proc.motion_path = proc.motion_ends = None
             self._leave_convoy(proc)
             self._park(proc)
             self._look_cache.clear()
-        proc.state = "ready"
 
         generator = proc.generator
         handlers_get = _HANDLERS.get
@@ -513,7 +510,6 @@ class Engine:
         )
 
     def _finish(self, proc: _Process) -> None:
-        proc.state = "done"
         position = proc.position
         robots = self.world.robots
         for rid in proc.robot_ids:
@@ -576,7 +572,6 @@ class Engine:
         self._unpark(proc)
         self._look_cache.clear()
         now = self.now
-        proc.state = "moving"
         proc.motion_from = position
         proc.motion_start = now
         proc.motion_to = target
@@ -600,7 +595,6 @@ class Engine:
         self._reposition(proc, target)
         now = self.now
         self._schedule(now, proc.pid, Result(now, None))
-        proc.state = "waiting"
         return None
 
     def _handle_sweep(self, proc: _Process, action: Sweep) -> None:
@@ -663,7 +657,8 @@ class Engine:
     def _handle_teamsweep(self, proc: _Process, action: TeamSweep) -> None:
         # The fork path of a team exploration that needs no Look — one
         # child process per robot sweeping its own run, a barrier where
-        # the runs end, then ``Wait(0.0)`` and an absorb — as one event.
+        # the runs end, then ``Wait(0.0)`` and an absorb — as one event
+        # (and the children's start hop when a child is last, below).
         # Each robot is charged its run at its own speed, as its child
         # would be, in one pass that builds nothing per stop or per robot;
         # the team enters the Look index as one flight, which places its
@@ -682,16 +677,14 @@ class Engine:
         trace = self.trace
         strip_stops = len(action.xs)
         tail = action.arrive_at is not None
-        last = now
+        arrivals = []
         for i, robot in enumerate(team):
             lengths = action.lengths(i, position)
             charged = _charge((robot,), lengths)
             speed = robot.speed
             if speed != 1.0:
                 charged = map(truediv, charged, itertools.repeat(speed))
-            arrival = reduce(add, charged, now)
-            if arrival > last:
-                last = arrival
+            arrivals.append(reduce(add, charged, now))
             if trace.enabled:
                 trace.append(
                     now, "sweep", proc.pid,
@@ -704,9 +697,19 @@ class Engine:
         self._unpark(proc)
         self._look_cache.clear()
         self._index(flight)
-        proc.state = "team"
         proc.flight = flight
-        self._schedule(last, proc.pid, Result(last, _Step(partial(self._land_team, proc))))
+        last = max(arrivals)
+        pid = proc.pid
+        landing = Result(last, _Step(partial(self._land_team, proc)))
+        if max(arrivals[1:], default=-math.inf) >= arrivals[0]:
+            # The last party at the fork path's barrier is a child (ties
+            # go to the children, queued after the caller), and a child's
+            # arrival is queued one same-instant hop after the fork, when
+            # the child starts: queue the landing from that hop too.
+            queue_landing = partial(self._schedule, last, pid, landing)
+            self._schedule(now, pid, Result(now, _Step(queue_landing)))
+        else:
+            self._schedule(last, pid, landing)
         return None
 
     def _land_team(self, proc: _Process) -> None:
@@ -720,7 +723,6 @@ class Engine:
             robots[rid].position = position
         self._park(proc)
         self._look_cache.clear()
-        proc.state = "waiting"
         # Resume after the fork path's two same-instant hops — the barrier
         # release, then explore_rect_team's Wait(0.0) — so that events at
         # this instant interleave with the program exactly as they would.
@@ -777,11 +779,13 @@ class Engine:
     def _handle_wait(self, proc: _Process, action: Wait) -> None:
         if action.duration < -EPS:
             raise ProtocolError(f"negative wait: {action.duration}")
-        self._set_waiting(proc, self.now + max(0.0, action.duration))
+        wake_at = self.now + max(0.0, action.duration)
+        self._schedule(wake_at, proc.pid, Result(wake_at, None))
         return None
 
     def _handle_waituntil(self, proc: _Process, action: WaitUntil) -> None:
-        self._set_waiting(proc, max(self.now, action.time))
+        wake_at = max(self.now, action.time)
+        self._schedule(wake_at, proc.pid, Result(wake_at, None))
         return None
 
     # Look dispatches straight to _do_look (which wraps its own Result):
@@ -896,11 +900,6 @@ class Engine:
             movers.discard(entry)
             if len(self._convoys) < _MOVER_INDEX_OFF:
                 self._movers = None
-
-    # -- timed actions ------------------------------------------------------
-    def _set_waiting(self, proc: _Process, wake_at: float) -> None:
-        proc.state = "waiting"
-        self._schedule(wake_at, proc.pid, Result(wake_at, None))
 
     # -- instantaneous actions -------------------------------------------
     def _do_look(self, proc: _Process, action: Look | None = None) -> Result:
@@ -1095,7 +1094,6 @@ class Engine:
             raise BarrierError(f"process {proc.pid} hit barrier {action.key!r} twice")
         state.arrived.append(proc.pid)
         state.payloads.append(action.payload)
-        proc.state = "barrier"
         if len(state.arrived) < state.parties:
             return None
         # Last party: verify co-location of all parties, then release.
@@ -1168,8 +1166,9 @@ class Engine:
 
 
 class _Step:
-    """Queue value for an engine-internal step — a team landing or its
-    hop — taken without resuming the generator."""
+    """Queue value for an engine-internal step — a team sweep's start
+    hop, its landing or the landing's hop — taken without resuming the
+    generator."""
 
     __slots__ = ("advance",)
 

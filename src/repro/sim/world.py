@@ -1,4 +1,4 @@
-"""The world: world model, robot registry, visibility index, wake bookkeeping.
+"""The world: world model, robot table, visibility index, wake bookkeeping.
 
 The world is engine-internal ground truth.  Distributed programs never read
 it directly — they learn about other robots exclusively through ``Look``
@@ -180,75 +180,6 @@ class WorldConfig:
         return ",".join(deltas) if deltas else "default"
 
 
-class _RobotRegistry(dict):
-    """``robot_id -> Robot`` mapping with lazy sleeper materialization.
-
-    Worlds are built once per run, and at 10^5 robots the Robot records
-    are the single biggest setup cost — yet a run only ever touches the
-    robots it wakes or owns.  The registry therefore materializes a
-    sleeper's record on first access (``__missing__``); iteration-style
-    APIs (``values``/``items``/``keys``/``__iter__``) materialize
-    everything first, so external inspection (tests, metrics) sees the
-    complete swarm exactly as before.  Internal fast paths that only need
-    the *touched* robots use :meth:`loaded`.
-    """
-
-    __slots__ = ("_factory", "_last_id")
-
-    def __init__(self, factory, last_id: int) -> None:
-        super().__init__()
-        self._factory = factory
-        self._last_id = last_id
-
-    def __missing__(self, key):
-        if isinstance(key, int) and 1 <= key <= self._last_id:
-            robot = self._factory(key)
-            self[key] = robot
-            return robot
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        return isinstance(key, int) and 1 <= key <= self._last_id
-
-    def __len__(self) -> int:
-        return self._last_id + 1  # sleepers 1..last plus the source
-
-    def materialize(self) -> None:
-        if dict.__len__(self) <= self._last_id:  # source is always present
-            for rid in range(1, self._last_id + 1):
-                if not dict.__contains__(self, rid):
-                    self[rid] = self._factory(rid)
-
-    def loaded(self):
-        """Only the materialized records (every robot that ever moved,
-        woke, or was otherwise touched)."""
-        return dict.values(self)
-
-    def __iter__(self):
-        self.materialize()
-        return dict.__iter__(self)
-
-    def keys(self):
-        self.materialize()
-        return dict.keys(self)
-
-    def values(self):
-        self.materialize()
-        return dict.values(self)
-
-    def items(self):
-        self.materialize()
-        return dict.items(self)
-
-
 class World:
     """Ground-truth state of a simulation."""
 
@@ -256,57 +187,37 @@ class World:
         self,
         source: Point,
         positions: Sequence[Point],
-        budget: float = math.inf,
-        source_budget: float | None = None,
         config: WorldConfig | None = None,
     ) -> None:
         """Create a world with an awake source and ``len(positions)`` sleepers.
 
-        ``config`` is the full world model; when omitted it is assembled
-        from the legacy ``budget``/``source_budget`` arguments (the paper's
-        uniform energy budget ``B``).  Passing both is an error — silently
-        preferring one would hide a conflicting caller.
+        ``config`` is the full world model, budgets included; when omitted
+        it is the paper's world (``WorldConfig()``).  Every robot's record
+        is built here, once: a run that wakes the whole swarm reads every
+        record anyway.
         """
         if config is None:
-            config = WorldConfig(budget=budget, source_budget=source_budget)
-        elif budget != math.inf or source_budget is not None:
-            raise ValueError("pass budgets via config, not alongside it")
+            config = WorldConfig()
         self.config = config
         self.visibility_radius = config.visibility_radius
-        speeds, budgets, crashed = self._assign_profiles(config, len(positions))
         points = list(positions)
         self._homes = points
-        self._speeds = speeds
-        self._budgets = budgets
-        self._crashed = crashed
-
-        def make_sleeper(i: int) -> Robot:
-            # Positional Robot(...) call — constructing 10^5 records is a
-            # measurable slice of setup; field order is pinned by the
-            # dataclass definition in robot.py.
-            p = points[i - 1]
-            return Robot(i, p, p, False, None, None, 0.0,
-                         budgets[i - 1], speeds[i - 1], crashed[i - 1])
-
-        # Sleeper records materialize on first touch; a run only pays for
-        # the robots it actually reaches (see _RobotRegistry).
-        self.robots: Dict[int, Robot] = _RobotRegistry(make_sleeper, len(points))
-        self.robots[SOURCE_ID] = Robot(
-            robot_id=SOURCE_ID,
-            home=source,
-            position=source,
-            awake=True,
-            wake_time=0.0,
-            budget=(
-                config.budget
-                if config.source_budget is None
-                else config.source_budget
-            ),
-            speed=config.speed,
+        speeds, budgets, crashed = self._assign_profiles(config, len(points))
+        source_budget = (
+            config.budget if config.source_budget is None else config.source_budget
         )
+        # Positional Robot(...) calls: constructing 10^5 records is a
+        # measurable slice of setup; field order is pinned by the dataclass
+        # definition in robot.py.
+        robots: Dict[int, Robot] = {
+            SOURCE_ID: Robot(SOURCE_ID, source, source, True, 0.0, None, 0.0,
+                             source_budget, config.speed)
+        }
+        for i, (p, b, v, c) in enumerate(zip(points, budgets, speeds, crashed), 1):
+            robots[i] = Robot(i, p, p, False, None, None, 0.0, b, v, c)
+        self.robots = robots
         # Sleeping robots never move — only disappear as they wake — so the
-        # index is packed once into a vectorized FrozenGridHash (wakes are
-        # O(1) mask flips).
+        # index is packed once into a FrozenGridHash (wakes are O(1) flips).
         self._sleeping_index = FrozenGridHash(
             points, cell_size=self.visibility_radius,
             keys=range(1, len(points) + 1),
@@ -373,35 +284,25 @@ class World:
         return list(self._wake_order)
 
     def wake_times(self) -> dict[int, float]:
-        """Wake time per awake robot id."""
-        return {
-            r.robot_id: r.wake_time
-            for r in self.robots.loaded()
-            if r.awake and r.wake_time is not None
-        }
+        """Wake time per awake robot id, in wake order (source first)."""
+        robots = self.robots
+        return {rid: robots[rid].wake_time for rid in self._wake_order}
 
     def crashed_robots(self) -> list[int]:
         """Ids of robots flagged to crash on wake (whether woken yet or not)."""
-        return [i for i, flagged in enumerate(self._crashed, start=1) if flagged]
+        return [r.robot_id for r in self.robots.values() if r.crashed]
 
     def max_odometer(self) -> float:
-        """Largest per-robot travelled distance (energy usage).
-
-        Only materialized robots can have moved; everyone else sits at
-        odometer 0, which never beats the (always materialized) source.
-        """
-        return max(r.odometer for r in self.robots.loaded())
+        """Largest per-robot travelled distance (energy usage)."""
+        return max(r.odometer for r in self.robots.values())
 
     def total_odometer(self) -> float:
         """Total distance travelled by the swarm.
 
-        Summed in robot-id order over the materialized records: identical
-        to the full-swarm sum (untouched robots contribute exactly 0.0),
-        including float rounding — summation order is part of the
-        byte-identical results contract.
+        Summed in robot-id order (the table's insertion order); summation
+        order is part of the byte-identical results contract.
         """
-        touched = sorted(self.robots.loaded(), key=lambda r: r.robot_id)
-        return sum(r.odometer for r in touched)
+        return sum(r.odometer for r in self.robots.values())
 
     # -- mutation (engine only) ------------------------------------------
     def mark_awake(self, robot_id: int, time: float, waker_id: int | None) -> Robot:

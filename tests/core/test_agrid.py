@@ -25,7 +25,7 @@ from repro.instances import (
     spiral,
     uniform_disk,
 )
-from repro.sim import SOURCE_ID, Engine, EnergyBudgetExceeded, ProtocolError, Trace
+from repro.sim import SOURCE_ID, Engine, EnergyBudgetExceeded, ProtocolError, Trace, WorldConfig
 
 FAMILIES = [
     uniform_disk(n=40, rho=8.0, seed=7),
@@ -338,7 +338,7 @@ def walk_observables(monkeypatch, instance, *, tours, config=None, budget=math.i
 
         patch.setattr(agrid_mod, "_assert_on_time", recording)
         if config is None:
-            world = instance.world(budget=budget)
+            world = instance.world(config=WorldConfig(budget=budget))
         else:
             world = instance.world(config=config.with_budget_cap(budget))
         if tweak is not None:

@@ -384,6 +384,10 @@ class TestTeamSweep:
         ),
         fractions=[0.2, 0.6],
     )
+    @example(  # the child arrives last: the leader resumes after the observer's Looks
+        case=(Rect(0, 0, 1.0, 1.0), Point(0.0, 0.0), Point(0.0, 1.0), [1.0, 1.0], [None, None]),
+        fractions=[0.5],
+    )
     def test_cold_team_is_one_event_with_fork_path_observables(self, case, fractions):
         rect, origin, meet_at, speeds, margins = case
         # A sleeper far from every strip: the frontier is not empty, just cold.

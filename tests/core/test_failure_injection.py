@@ -21,6 +21,7 @@ from repro.sim import (
     SOURCE_ID,
     Wait,
     World,
+    WorldConfig,
 )
 
 
@@ -32,7 +33,7 @@ class TestEnergyFaults:
 
         inst = uniform_disk(n=30, rho=8.0, seed=1)
         ell, rho = inst.default_inputs()
-        world = inst.world(budget=5.0)
+        world = inst.world(config=WorldConfig(budget=5.0))
         engine = Engine(world)
         engine.spawn(aseparator_program(ell=ell, rho=float(rho)), [SOURCE_ID])
         with pytest.raises(EnergyBudgetExceeded) as err:
@@ -47,7 +48,7 @@ class TestEnergyFaults:
         from repro.core.agrid import agrid_energy_budget, agrid_program
 
         inst = beaded_path(n=20, spacing=1.0)
-        world = inst.world(budget=agrid_energy_budget(1) / 40.0)
+        world = inst.world(config=WorldConfig(budget=agrid_energy_budget(1) / 40.0))
         engine = Engine(world)
         engine.spawn(agrid_program(ell=1), [SOURCE_ID])
         with pytest.raises(EnergyBudgetExceeded):
@@ -91,7 +92,7 @@ class TestEngineFaults:
         world = World(
             source=Point(0, 0),
             positions=[Point(1, 0), Point(50, 0)],
-            budget=10.0,
+            config=WorldConfig(budget=10.0),
         )
         engine = Engine(world)
 

@@ -9,15 +9,19 @@ rejected rectangle holds no position within reach.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import FrontierIndex, Point, frontier_for
+from repro.geometry import EPS, FrontierIndex, Point, frontier_for
 
 COORD = st.floats(
     min_value=-300.0, max_value=300.0, allow_nan=False, allow_infinity=False
 )
 POINTS = st.lists(st.tuples(COORD, COORD), min_size=0, max_size=60)
+
+#: 40 points in one cell of a reach-1 index, ``DENSE[0]`` leftmost: a probe
+#: straight left of it is nearest to it alone.
+DENSE = [(0.5 + 0.01 * i, 0.25 + 0.0125 * i) for i in range(40)]
 
 
 def brute_any_within(points, stop, reach):
@@ -38,6 +42,9 @@ class TestHotStops:
         offset=st.sampled_from([-1e-7, -1e-12, 0.0, 1e-12, 1e-7, 1e-3]),
     )
     @settings(max_examples=120, deadline=None)
+    @example(points=DENSE, angle=math.pi, offset=EPS)
+    @example(points=DENSE, angle=math.pi, offset=-EPS)
+    @example(points=DENSE, angle=math.pi / 2, offset=0.0)
     def test_reach_boundary(self, points, angle, offset):
         """Stops placed at distance ``reach + offset`` from a point."""
         reach = 1.0 + 1e-6

@@ -1,6 +1,6 @@
 """FrozenGridHash / GridHash / brute-force-oracle equivalence.
 
-The vectorized sleeping index must answer ``query_ball`` with *exactly*
+The frozen sleeping index must answer ``query_ball`` with *exactly*
 the membership of the closed Euclidean ball ``B(center, radius + tol)``
 as decided by ``math.hypot`` — the documented oracle for ``GridHash`` —
 including points sitting on the boundary up to rounding and subnormal
@@ -151,7 +151,7 @@ class TestFrozenBasics:
         assert frozen.query_ball(Point(0, 0), -1.0) == []
 
     def test_vectorized_branch_equivalence(self):
-        """A single dense cell (> scalar cutoff) exercises the numpy mask."""
+        """A single dense cell (400 points) through the one scalar scan."""
         pts = [Point(0.001 * i, 0.0005 * i) for i in range(400)]
         raw = [(p.x, p.y) for p in pts]
         pts, frozen, grid = build_both(raw, cell_size=2.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.instances import Instance, uniform_disk
+from repro.sim import WorldConfig
 
 
 class TestConstruction:
@@ -59,7 +60,7 @@ class TestWorld:
 
     def test_world_budget_propagates(self):
         inst = Instance.build([(1, 0)])
-        world = inst.world(budget=5.0)
+        world = inst.world(config=WorldConfig(budget=5.0))
         assert world.robots[1].budget == 5.0
         assert world.source.budget == 5.0
 

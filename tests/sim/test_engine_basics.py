@@ -165,6 +165,22 @@ class TestWake:
         assert result.termination_time == pytest.approx(50.0)
         assert result.woke_all
 
+    def test_wake_times_keep_wake_order(self):
+        """``wake_times`` lists the source, then the robots as they woke
+        (here 3, 1, 2), not in id order."""
+
+        def program(proc):
+            for stop, rid in ((1, 3), (2, 1), (3, 2)):
+                yield Move(Point(stop, 0))
+                yield Wake(rid)
+
+        _, result = run_world([Point(2, 0), Point(3, 0), Point(1, 0)], program)
+        assert list(result.wake_times) == [SOURCE_ID, 3, 1, 2]
+        assert result.wake_times[SOURCE_ID] == 0.0
+        assert result.wake_times[3] == pytest.approx(1.0)
+        assert result.wake_times[1] == pytest.approx(2.0)
+        assert result.wake_times[2] == pytest.approx(3.0)
+
 
 class TestResultRecord:
     def test_counts(self):

@@ -12,6 +12,7 @@ from repro.sim import (
     SOURCE_ID,
     Wake,
     World,
+    WorldConfig,
 )
 
 
@@ -59,7 +60,7 @@ class TestOdometer:
 
 class TestBudgets:
     def test_budget_violation_raises_with_details(self):
-        world = World(source=Point(0, 0), positions=[], budget=5.0)
+        world = World(source=Point(0, 0), positions=[], config=WorldConfig(budget=5.0))
         engine = Engine(world)
 
         def program(proc):
@@ -74,7 +75,7 @@ class TestBudgets:
 
     def test_budget_checked_before_moving(self):
         # The violating move must not partially execute.
-        world = World(source=Point(0, 0), positions=[], budget=1.0)
+        world = World(source=Point(0, 0), positions=[], config=WorldConfig(budget=1.0))
         engine = Engine(world)
 
         def program(proc):
@@ -87,7 +88,7 @@ class TestBudgets:
         assert world.source.odometer == 0.0
 
     def test_exact_budget_is_allowed(self):
-        world = World(source=Point(0, 0), positions=[], budget=5.0)
+        world = World(source=Point(0, 0), positions=[], config=WorldConfig(budget=5.0))
         engine = Engine(world)
 
         def program(proc):
@@ -101,8 +102,7 @@ class TestBudgets:
         world = World(
             source=Point(0, 0),
             positions=[Point(1, 0)],
-            budget=1.0,
-            source_budget=math.inf,
+            config=WorldConfig(budget=1.0, source_budget=math.inf),
         )
         engine = Engine(world)
 
@@ -114,7 +114,7 @@ class TestBudgets:
         assert world.source.odometer == pytest.approx(50.0)
 
     def test_remaining_budget_helper(self):
-        world = World(source=Point(0, 0), positions=[], budget=10.0)
+        world = World(source=Point(0, 0), positions=[], config=WorldConfig(budget=10.0))
         assert world.source.remaining_budget == 10.0
         assert world.source.can_move(10.0)
         assert not world.source.can_move(10.1)

@@ -16,7 +16,9 @@ import pytest
 from repro.core.registry import get_algorithm
 from repro.geometry import Point
 from repro.instances import uniform_disk
-from repro.sim import SOURCE_ID, Annotate, Engine, Trace, Wait, WaitUntil, Wake, World
+from repro.sim import (
+    SOURCE_ID, Annotate, Engine, Trace, Wait, WaitUntil, Wake, World, WorldConfig,
+)
 
 
 def _program_b(proc):
@@ -98,7 +100,7 @@ def _in_flight(engine):
         if proc.flight is not None:
             # AWave's hand-back is the one team sweep with no tail.
             kinds.add("TeamSweep" if proc.flight.sweep.arrive_at else "hand-back")
-        elif proc.state == "moving" and proc.motion_path is not None:
+        elif proc.motion_to is not None and proc.motion_path is not None:
             kinds.add(type(proc.motion_path).__name__)
     return kinds
 
@@ -110,7 +112,7 @@ def _run_algorithm(algorithm, instance, params, stops=()):
     spec = get_algorithm(algorithm)
     setup = spec.build(instance, spec.validate_params(params))
     trace = Trace(keep_looks=True)
-    engine = Engine(instance.world(budget=setup.budget), trace=trace)
+    engine = Engine(instance.world(config=WorldConfig(budget=setup.budget)), trace=trace)
     engine.spawn(setup.program, [SOURCE_ID])
     caught = set()
     for until in stops:

@@ -28,6 +28,7 @@ from repro.sim import (
     Wait,
     WaitUntil,
     World,
+    WorldConfig,
 )
 from repro.sim import engine as engine_module
 from repro.sim.engine import _check_run
@@ -60,7 +61,7 @@ STOPS = move_chain(RUN)
 def run_walk(use_sweep, budget=math.inf, observer_at=None, observe_times=()):
     """Walk RUN with one process; optionally observe from a second."""
     sleepers = [Point(50.0, 50.0)]
-    world = World(source=Point(0, 0), positions=sleepers, budget=budget)
+    world = World(source=Point(0, 0), positions=sleepers, config=WorldConfig(budget=budget))
     engine = Engine(world)
     outcome = {}
     observations = []
@@ -190,11 +191,13 @@ class TestSweepEdges:
 
     def test_team_sweep_is_one_event_per_team(self):
         """Both robots walk their own run; the team resumes once, at the
-        later arrival, after two same-instant hops."""
+        later arrival, after two same-instant hops.  The later robot is the
+        forked child's, so its landing is queued from one more hop at the
+        instant the sweep is issued, where the fork path starts the child."""
         sweep = TeamSweep(XS, [LatticeAxis([0.25]), YS], RUN.arrive_at)
         result, seen = run_single(sweep, team=(SOURCE_ID, 1))
         walked = [sum(sweep.run(i).segment_lengths(Point(0, 0))) for i in range(2)]
-        assert result.events_processed == 1 + 1 + 2
+        assert result.events_processed == 1 + 1 + 1 + 2
         assert seen["time"] == pytest.approx(max(walked))
         assert result.total_energy == pytest.approx(sum(walked))
 

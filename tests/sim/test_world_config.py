@@ -65,13 +65,6 @@ class TestConfigValidation:
         assert WorldConfig(slow_fraction=0.5, slow_speed=0.25).min_speed() == 0.25
         assert WorldConfig(speed=2.0).min_speed() == 2.0
 
-    def test_conflicting_world_arguments_rejected(self):
-        with pytest.raises(ValueError, match="via config"):
-            World(
-                source=Point(0, 0), positions=[], budget=5.0,
-                config=WorldConfig(),
-            )
-
 
 class TestSpeeds:
     def test_travel_time_is_distance_over_speed(self):
