@@ -332,10 +332,24 @@ def _explore_and_wake_cell(
 ) -> Generator[Action, Result, tuple[int, ...]]:
     """Corollary 1 for one cell: explore it, then wake every sleeper found
     (scoped to the cell) with a centralized schedule; woken robots become
-    the cell's cohort for ``next_round``.  Returns the cohort."""
+    the cell's cohort for ``next_round``.  Returns the cohort.
+
+    The exploration only learns where the cell's sleepers are, so it takes
+    sleepers-only Looks.  That is exact: awake sightings reach a report
+    only to cancel a sleeping entry of the same exploration
+    (:meth:`~repro.core.explore.ExplorationReport.note`), and an entry
+    this cell ``owns`` is never cancelled.  A cell's sleepers are woken
+    only by wake plans built from an exploration of that cell; each window
+    has one explorer per cell, and :func:`agrid_window` bounds the plan's
+    propagation inside its window, so no owned sleeper wakes while its
+    cell is explored.  Entries the cell does not own are dropped either
+    way.
+    """
     rect = grid.rect(cell)
     owns = grid.owns(cell)
-    report = yield from explore_rect(proc, rect, arrive_at=rect.center)
+    report = yield from explore_rect(
+        proc, rect, arrive_at=rect.center, sleepers_only=True
+    )
     targets = {rid: pos for rid, pos in report.sleeping.items() if owns(pos)}
     if not targets:
         return tuple(extra_cohort)

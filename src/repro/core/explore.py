@@ -187,11 +187,20 @@ def explore_rect(
     rect: Rect,
     arrive_at: Point | None = None,
     frontier: "FrontierIndex | None" = None,
+    sleepers_only: bool = False,
 ) -> Generator[Action, Result, ExplorationReport]:
     """Explore ``rect`` with the whole process moving as one unit.
 
     Returns an :class:`ExplorationReport` of everything seen.  When
     ``arrive_at`` is given, the process finishes there.
+
+    With ``sleepers_only`` the per-stop walk takes a sleepers-only
+    :class:`~repro.sim.Look` at each stop, so the report holds no awake
+    robot and a sleeper is never cancelled by a later awake sighting: for
+    a caller that keeps only sleepers no one else can wake meanwhile (see
+    :func:`repro.core.agrid._explore_and_wake_cell`).  The batched walk
+    keeps full Looks, so ``frontier`` and ``sleepers_only`` exclude each
+    other.
 
     With a :class:`~repro.geometry.FrontierIndex` the walk is *batched*:
     stops whose snapshot provably contains no sleeping robot (no initial
@@ -213,13 +222,16 @@ def explore_rect(
     """
     report = ExplorationReport()
     if frontier is not None:
+        if sleepers_only:
+            raise ValueError("a frontier-batched walk takes full Looks")
         run = _lattice_run(rect, arrive_at)
         if _sweep_admissible(proc, lambda origin: [run.segment_lengths(origin)]):
             yield from _explore_batched(proc, run, frontier, report)
             return report
+    look = Look(sleepers_only=sleepers_only)
     for stop in exploration_stops(rect):
         yield Move(stop)
-        report.note((yield Look()).value)
+        report.note((yield look).value)
         report.snapshots += 1
     if arrive_at is not None:
         yield Move(arrive_at)
@@ -367,17 +379,13 @@ def _cold_team_sweep(
     ):
         return None
     sweep = TeamSweep(xs, rows, meet_at)
-    origin = proc.position
     if len(cols) == 1 and any(
         # Only a one-stop lattice can be walked without moving.
-        len(ys) == 1 and max(sweep.lengths(i, origin)) <= EPS
-        for i, ys in enumerate(rows)
+        len(ys) == 1 and max(lengths) <= EPS
+        for ys, lengths in zip(rows, sweep.strip_lengths(proc.position))
     ):
         return None
-    admissible = _sweep_admissible(
-        proc, lambda origin: (sweep.lengths(i, origin) for i in range(k))
-    )
-    return sweep if admissible else None
+    return sweep if _sweep_admissible(proc, sweep.strip_lengths) else None
 
 
 def _explore_rect_team_forked(

@@ -27,7 +27,7 @@ TeamSweep  the longest member's run at its robot's speed (one event)
 Tour       each leg's length, then its wait (one event)
 Wait       the requested duration
 WaitUntil  ``max(0, t - now)``
-Look       0 (discrete snapshot)
+Look       0 (discrete snapshot; sleepers-only too)
 Wake       0 (touch)
 Fork       0
 Barrier    until the last party arrives
@@ -253,10 +253,22 @@ class TeamSweep(Action):
         ys = self.rows[i]
         return Sweep(self.xs, ys, 0, len(self.xs) * len(ys), self.arrive_at)
 
-    def lengths(self, i: int, origin: Point) -> list[float]:
-        """``run(i).segment_lengths(origin)``, without building the run."""
-        xs, ys = self.xs, self.rows[i]
-        return _run_lengths(xs, ys, 0, len(xs) * len(ys), self.arrive_at, origin)
+    def strip_lengths(self, origin: Point) -> list[list[float]]:
+        """``run(i).segment_lengths(origin)`` for every robot ``i``, without
+        building the runs: one list per distinct row axis, shared by the
+        robots on it (AWave's hand-back gives every robot the same
+        one-stop axis).  Read-only."""
+        xs, tail = self.xs, self.arrive_at
+        built: dict[LatticeAxis, list[float]] = {}
+        out = []
+        for ys in self.rows:
+            lengths = built.get(ys)
+            if lengths is None:
+                lengths = built[ys] = _run_lengths(
+                    xs, ys, 0, len(xs) * len(ys), tail, origin
+                )
+            out.append(lengths)
+        return out
 
 
 def _run_lengths(
@@ -399,7 +411,15 @@ class Look(Action):
     The result value is a :class:`Snapshot`.  Own team members appear in the
     snapshot too (they are co-located, hence within distance 1); callers
     filter by the ids they already know.
+
+    A ``sleepers_only`` Look returns the snapshot a full Look would return
+    minus its awake robots, and counts as one snapshot like any Look.  It
+    is for a caller that acts only on the sleepers it finds (AGrid's cell
+    explorations): the engine serves it from the sleeping index alone,
+    without locating a single awake robot.
     """
+
+    sleepers_only: bool = False
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,17 @@ lands in that box — one queue event per team.  A
 :class:`~repro.sim.actions.Tour` flies a process over its legs and waits
 as one piecewise path, for one queue event per walk; the processes that
 issue one tour object from one point at one instant and speed share a
-convoy and its timetable.  None of it changes what a robot sees or when:
-makespans, energies, cache keys and traces are pinned by
-``tests/sim/test_golden_trace.py`` (a TeamSweep's trace only lacks the
-process bookkeeping of the fork path it replaces, a Tour's has one
-``move`` entry for its legs' entries), and every Look is checked against
-a brute-force oracle by ``tests/sim/test_look_oracle.py``.
+convoy and its timetable.  A sleepers-only Look (AGrid's cell
+explorations take nothing else) is served from the sleeping index alone,
+with no site or convoy scan and no memo, so a run whose Looks are all
+sleepers-only never builds the sites' grid hash or the mover index.
+None of it changes what a robot sees or when: makespans, energies,
+cache keys and traces are pinned by ``tests/sim/test_golden_trace.py``
+(a TeamSweep's trace only lacks the process bookkeeping of the fork path
+it replaces, a Tour's has one ``move`` entry for its legs' entries, a
+sleepers-only Look's ``look`` entry counts the sleepers it returned),
+and every Look is checked against a brute-force oracle by
+``tests/sim/test_look_oracle.py``.
 """
 
 from __future__ import annotations
@@ -340,16 +345,18 @@ class Engine:
         # Awake robots as Look sees them, grouped by shared trajectory.
         # Sites: one per exact point, holding the stationary processes and
         # idle robots (awake, no live process) there.  Their spatial index
-        # is built by the first Look that needs it (see _do_look), so runs
-        # that never Look past a handful of sites never maintain one.
+        # is built by the first full Look that needs it (see _do_look), so
+        # runs that never Look past a handful of sites, or Look only for
+        # sleepers, never maintain one.
         self._sites: dict[Point, _Site] = {}
         self._site_index: GridHash | None = None
         self._idle: dict[int, _Site] = {}  # idle robot -> its site
         # Convoys: one per identical straight segment in flight (sweeps
         # ride alone), scanned with one interpolation each.
         self._convoys: dict[Any, _Convoy] = {}
-        # Vectorized convoy-bbox index, engaged only when many convoys
-        # move concurrently (see _MOVER_INDEX_ON); None = plain loop mode.
+        # Vectorized convoy-bbox index, engaged by a full Look only when
+        # many convoys move concurrently (see _MOVER_INDEX_ON); None =
+        # plain loop mode.
         self._movers: _MoverIndex | None = None
         # Memoized snapshot views per (time, center), flushed on any world
         # mutation (wake, motion, process lifecycle).  Between mutations
@@ -660,10 +667,10 @@ class Engine:
         # the runs end, then ``Wait(0.0)`` and an absorb — as one event
         # (and the children's start hop when a child is last, below).
         # Each robot is charged its run at its own speed, as its child
-        # would be, in one pass that builds nothing per stop or per robot;
-        # the team enters the Look index as one flight, which places its
-        # robots where their children would be only when a Look lands in
-        # its box.
+        # would be, in one pass that builds nothing per stop and one list
+        # of segment lengths per distinct strip axis; the team enters the
+        # Look index as one flight, which places its robots where their
+        # children would be only when a Look lands in its box.
         ids = proc.robot_ids
         if len(action) != len(ids):
             raise ProtocolError(
@@ -678,8 +685,8 @@ class Engine:
         strip_stops = len(action.xs)
         tail = action.arrive_at is not None
         arrivals = []
-        for i, robot in enumerate(team):
-            lengths = action.lengths(i, position)
+        strips = action.strip_lengths(position)
+        for i, (robot, lengths) in enumerate(zip(team, strips)):
             charged = _charge((robot,), lengths)
             speed = robot.speed
             if speed != 1.0:
@@ -902,9 +909,15 @@ class Engine:
                 self._movers = None
 
     # -- instantaneous actions -------------------------------------------
-    def _do_look(self, proc: _Process, action: Look | None = None) -> Result:
+    def _do_look(self, proc: _Process, action: Look) -> Result:
         center = proc.position
-        trace = self.trace
+        if action.sleepers_only:
+            # The sleeping index alone: no site or convoy scan, so a run
+            # whose every Look is sleepers-only never builds either awake
+            # index; and no memo, which holds full snapshots.
+            build = self._sleepers_seen(center)
+            build.sort()
+            return self._snapshot(proc, tuple(build))
         # The (time, center) memo only pays off for co-located cohorts:
         # a later Look from this point at this instant, with no world
         # mutation in between, comes from a process already standing on
@@ -915,14 +928,7 @@ class Engine:
         views = look_cache.get((self.now, center)) if look_cache else None
         if views is None:
             radius = self.visibility_radius
-            build: list[RobotView] = []
-            # Sleeping robots: the index query is the exact closed ball.
-            sleep_views = self._sleep_views
-            for rid, pos in self.world.sleeping_items(center, radius):
-                view = sleep_views.get(rid)
-                if view is None:
-                    view = sleep_views[rid] = RobotView(rid, pos, False)
-                build.append(view)
+            build = self._sleepers_seen(center)
             # Awake robots, one distance test per site (stationary teams
             # and idle robots sharing a point) and one interpolation per
             # convoy (movers sharing a segment).
@@ -999,12 +1005,29 @@ class Engine:
             views = tuple(build)
             if len(proc.site.procs) > 1:
                 look_cache[(self.now, center)] = views
+        return self._snapshot(proc, views)
+
+    def _sleepers_seen(self, center: Point) -> list[RobotView]:
+        """The views of the sleeping robots within reach of ``center``, in
+        index order: the index query is the exact closed ball."""
+        sleep_views = self._sleep_views
+        build: list[RobotView] = []
+        for rid, pos in self.world.sleeping_items(center, self.visibility_radius):
+            view = sleep_views.get(rid)
+            if view is None:
+                view = sleep_views[rid] = RobotView(rid, pos, False)
+            build.append(view)
+        return build
+
+    def _snapshot(self, proc: _Process, views: tuple[RobotView, ...]) -> Result:
+        """Count and trace a Look by ``proc`` that saw ``views``."""
+        now = self.now
+        center = proc.position
+        trace = self.trace
         trace._look_count += 1  # counted even when looks are not kept
         if trace.keep_looks and trace.enabled:
-            trace.append(
-                self.now, "look", proc.pid, {"count": len(views), "at": center}
-            )
-        return Result(self.now, Snapshot(self.now, center, views))
+            trace.append(now, "look", proc.pid, {"count": len(views), "at": center})
+        return Result(now, Snapshot(now, center, views))
 
     def _do_wake(self, proc: _Process, action: Wake) -> int | None:
         robot = self.world.robots.get(action.robot_id)
@@ -1289,10 +1312,11 @@ class _Flight:
         if stand_ins is None:
             sweep, origin, start, meet = self.sweep, self.origin, self.start, self.meet
             stand_ins = self.stand_ins = []
-            for i, robot in enumerate(self.team):
+            strips = sweep.strip_lengths(origin)
+            for i, (robot, lengths) in enumerate(zip(self.team, strips)):
                 speed = robot.speed
                 member = _Process(self.pid, None, [robot.robot_id], origin, speed)
-                ends = _ends(_charged(sweep.lengths(i, origin)), start, speed)
+                ends = _ends(_charged(lengths), start, speed)
                 member.start_sweep(origin, start, sweep.run(i), meet, ends)
                 stand_ins.append(member)
         return stand_ins

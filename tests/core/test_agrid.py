@@ -5,6 +5,7 @@ import math
 import pytest
 
 import repro.core.agrid as agrid_mod
+import repro.sim.engine as engine_mod
 from repro.core.agrid import (
     CellGrid,
     NEIGHBOR_OFFSETS,
@@ -15,7 +16,7 @@ from repro.core.agrid import (
     agrid_window_start,
 )
 from repro.core.awave import awave_round_start, awave_window_start
-from repro.core.runner import run_agrid
+from repro.core.runner import RunRequest, run_agrid
 from repro.geometry import Point
 from repro.instances import (
     beaded_path,
@@ -25,6 +26,7 @@ from repro.instances import (
     spiral,
     uniform_disk,
 )
+from repro.metrics import summarize
 from repro.sim import SOURCE_ID, Engine, EnergyBudgetExceeded, ProtocolError, Trace, WorldConfig
 
 FAMILIES = [
@@ -488,3 +490,101 @@ class TestFollowerTours:
         if miscalibration == "speed_floor":
             assert robots == (self.FOLLOWER,)
             assert flown["tours"]
+
+
+def full_explore_looks(patch):
+    """Make AGrid's cell explorations take full Looks, as they used to."""
+    explore = agrid_mod.explore_rect
+
+    def full(*args, **kwargs):
+        return explore(*args, **{**kwargs, "sleepers_only": False})
+
+    patch.setattr(agrid_mod, "explore_rect", full)
+
+
+def look_observables(monkeypatch, scenario, kwargs, params, *, full_looks):
+    """The record, wake times and trace of one AGrid request; with
+    ``full_looks`` its cell explorations take full Looks."""
+    with monkeypatch.context() as patch:
+        if full_looks:
+            full_explore_looks(patch)
+        request = RunRequest(
+            algorithm="agrid", scenario=scenario, family_kwargs=kwargs, params=params
+        )
+        trace = Trace(keep_looks=True)
+        run = request.execute(trace=trace)
+    return {
+        "record": summarize(run).as_dict(),
+        "wakes": {rid: t.hex() for rid, t in run.result.wake_times.items()},
+        # Every event in order, a look's ``count`` aside: a sleepers-only
+        # Look returns fewer views from the same place at the same time.
+        "stream": [
+            (e.time, e.kind, e.process_id,
+             sorted((k, v) for k, v in e.data.items() if (e.kind, k) != ("look", "count")))
+            for e in trace.events
+        ],
+        "counts": [e.data["count"] for e in trace.of_kind("look")],
+    }
+
+
+class TestSleepersOnlyLooks:
+    """AGrid explores its cells with sleepers-only Looks, pinned to the
+    full Looks it took before: awake sightings never reached a wake."""
+
+    CASES = [
+        (scenario, kwargs, {"ell": ell})
+        for scenario, kwargs in [
+            ("uniform_disk", {"n": 60, "rho": 12.0, "seed": 1}),
+            ("clusters", {"n": 60, "n_clusters": 3, "rho": 10.0, "seed": 3}),
+            ("slow_swarm", {"n": 60, "rho": 10.0, "seed": 3}),
+            ("fragile_swarm", {"n": 40, "rho": 8.0, "seed": 4}),
+        ]
+        for ell in (1, 2, 3)
+    ] + [
+        ("uniform_disk", {"n": 60, "rho": 12.0, "seed": 1}, {"ell": 2, "enforce_budget": True}),
+        ("fragile_swarm", {"n": 40, "rho": 8.0, "seed": 4}, {"ell": 2, "enforce_budget": True}),
+    ]
+
+    @pytest.mark.parametrize(
+        "scenario,kwargs,params",
+        CASES,
+        ids=[
+            f"{scenario}-ell{params['ell']}" + ("-budget" if len(params) > 1 else "")
+            for scenario, _, params in CASES
+        ],
+    )
+    def test_equal_to_full_explore_looks(self, monkeypatch, scenario, kwargs, params):
+        sleepers = look_observables(monkeypatch, scenario, kwargs, params, full_looks=False)
+        full = look_observables(monkeypatch, scenario, kwargs, params, full_looks=True)
+        for key in ("record", "wakes", "stream"):
+            assert sleepers[key] == full[key], key
+        # The same Looks, each seeing no more than before, and fewer in all.
+        assert all(s <= f for s, f in zip(sleepers["counts"], full["counts"]))
+        assert sum(sleepers["counts"]) < sum(full["counts"])
+
+    def test_no_awake_index_without_crashes(self, monkeypatch):
+        """With no crash-on-wake, every Look of an AGrid run is a cell
+        exploration's, so the engine never builds its site index or its
+        mover index; with full explore Looks the same run builds both."""
+        instance = uniform_disk(n=600, rho=8.0, seed=0)
+        built = []
+
+        def recording(name, cls):
+            def build(*args, **kwargs):
+                built.append(name)
+                return cls(*args, **kwargs)
+
+            return build
+
+        for full_looks in (False, True):
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_mod, "GridHash", recording("sites", engine_mod.GridHash))
+                patch.setattr(
+                    engine_mod, "_MoverIndex", recording("movers", engine_mod._MoverIndex)
+                )
+                if full_looks:
+                    full_explore_looks(patch)
+                run = run_agrid(instance, ell=1)
+            assert run.woke_all
+            assert sorted(set(built)) == (["movers", "sites"] if full_looks else [])

@@ -111,6 +111,46 @@ class TestSingleRobot:
         assert report.snapshots == len(exploration_stops(rect))
         assert result.snapshots == report.snapshots
 
+    def test_sleepers_only_looks_report_the_same_sleepers(self):
+        """With sleepers-only Looks the report finds the same sleepers,
+        no awake robot (the explorer and a robot waiting in the
+        rectangle), and counts the same snapshots; the batched walk
+        refuses them."""
+        rect = Rect(0, 0, 6, 4)
+        homes = [Point(1.0, 1.0), Point(5.0, 3.0), Point(3.0, 2.0)]
+        reports = {}
+
+        def waiting(proc):
+            yield WaitUntil(100.0)
+
+        for sleepers_only in (False, True):
+            world = World(source=Point(0, 0), positions=homes)
+            world.mark_awake(3, 0.0, None)
+            engine = Engine(world)
+            engine.spawn(waiting, [3])
+
+            def program(proc, sleepers_only=sleepers_only):
+                reports[sleepers_only] = yield from explore_rect(
+                    proc, rect, sleepers_only=sleepers_only
+                )
+
+            engine.spawn(program, [SOURCE_ID])
+            assert engine.run().snapshots == len(exploration_stops(rect))
+        full, sleepers = reports[False], reports[True]
+        assert sleepers.sleeping == full.sleeping == {1: homes[0], 2: homes[1]}
+        assert set(full.awake) == {SOURCE_ID, 3} and not sleepers.awake
+        assert sleepers.snapshots == full.snapshots
+
+        def batched(proc):
+            yield from explore_rect(
+                proc, rect, frontier=frontier_for(homes, 1.0), sleepers_only=True
+            )
+
+        engine = Engine(World(source=Point(0, 0), positions=homes))
+        engine.spawn(batched, [SOURCE_ID])
+        with pytest.raises(ValueError, match="full Looks"):
+            engine.run()
+
 
 class TestTeam:
     def _run_team(self, rect, k, sleepers):

@@ -19,6 +19,15 @@ in exactly one way: each follower's eight per-leg ``move`` entries became
 one entry whose length is their sum, so with ``move`` entries dropped both
 event streams hash as before (every Look, wake, phase and process start
 and end in the same order).
+
+The re-pin rule: a digest is re-pinned only with a second digest of the
+same trace with the changed field dropped, pinned to its value before the
+change, so the pin shows that nothing else moved.  When AGrid's cell
+explorations began taking sleepers-only Looks, the ``agrid`` and
+crash-scenario digests changed in the ``count`` of those ``look`` entries
+alone (the number of sleepers seen, not of all robots); with every look's
+``count`` dropped, both traces hash to the values the engine gave at
+commit 51cccbd, before the change, and both tests assert that too.
 """
 
 import hashlib
@@ -31,10 +40,15 @@ from repro.instances import make_instance
 from repro.sim import Trace
 
 
-def trace_digest(trace: Trace) -> str:
-    """Canonical digest over every recorded event (order-sensitive)."""
+def trace_digest(trace: Trace, look_counts: bool = True) -> str:
+    """Canonical digest over every recorded event (order-sensitive);
+    without ``look_counts``, every ``look`` entry's ``count`` is dropped."""
     payload = [
-        [e.time, e.kind, e.process_id, dict(sorted(e.data.items()))]
+        [
+            e.time, e.kind, e.process_id,
+            {k: v for k, v in sorted(e.data.items())
+             if look_counts or (e.kind, k) != ("look", "count")},
+        ]
         for e in trace.events
     ]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -56,7 +70,7 @@ GOLDEN_RUNS = [
     ),
     (
         "agrid", "uniform_disk", {"n": 60, "rho": 12.0, "seed": 1}, {"ell": 2},
-        "865af8f17b1d002e9a501ab0b4c18216f937fa1e60f8c7ff8034759b1d8e666c",
+        "1c1164043405cc35d722bf83f721864687156b4958b9229a470fc6140affb43a",
         3103.6107264334523, 5789.2245090111865,
     ),
     # The PR 5 AWave pins: ``legacy_awave`` must reproduce the pre-rewrite
@@ -92,6 +106,13 @@ GOLDEN_RUNS = [
 ]
 
 
+#: Digests without look counts, of the runs whose looks saw fewer robots
+#: when AGrid took sleepers-only Looks: the values at commit 51cccbd.
+LOOK_COUNT_FREE = {
+    "agrid": "d78faa65ed739c26167ea3f12684a0ec008c1f27eda5579acc823e80d430dabe",
+}
+
+
 @pytest.mark.parametrize(
     "algorithm,family,kwargs,params,digest,makespan,energy",
     GOLDEN_RUNS,
@@ -105,6 +126,8 @@ def test_golden_trace(algorithm, family, kwargs, params, digest, makespan, energ
     assert run.makespan == makespan
     assert run.result.total_energy == energy
     assert trace_digest(trace) == digest
+    if algorithm in LOOK_COUNT_FREE:
+        assert trace_digest(trace, look_counts=False) == LOOK_COUNT_FREE[algorithm]
 
 
 @pytest.mark.slow
@@ -122,7 +145,11 @@ def test_golden_trace_crash_scenario():
     assert run.result.total_energy == 3094.6785203666313
     assert (
         trace_digest(trace)
-        == "60796c49b17ffef27a91ab23285b80e22e32e73a9beaa5b70df11cbd024b4ca2"
+        == "3176ec78d859c1ee3cc4c2b74ddacaac20ebeb0a71e407afc392300627b4c1f5"
+    )
+    assert (
+        trace_digest(trace, look_counts=False)
+        == "c8dbd4959e57882030ef396e2eda03809a240743c7a437019d83b50e7055d40e"
     )
 
 

@@ -13,13 +13,16 @@ knows, run by many processes at once, so whatever grouping the engine
 keeps for Look (points shared by stationary teams and idle robots,
 segments shared by movers, a team sweep's stand-ins, tours flown as one
 convoy, the vectorized mover index) is checked against the world state it
-stands for.
+stands for.  A sleepers-only Look must list exactly the oracle's sleepers
+and count as one Look, and the ``(time, center)`` memo must never serve
+one kind of Look to the other.
 """
 
 import itertools
 import math
 from functools import partial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +119,8 @@ leaf_ops = st.one_of(
     st.tuples(st.just("until"), st.integers(0, 8).map(float)),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.0])),
     st.tuples(st.just("absorb")),
+    # A sleepers-only Look, checked against the oracle's sleepers.
+    st.tuples(st.just("peek")),
 )
 leaf_scripts = st.lists(leaf_ops, min_size=1, max_size=4)
 team_ops = st.one_of(
@@ -256,6 +261,7 @@ class Run:
         }
         self.keys = itertools.count()
         self.looks = 0
+        self.peeks = 0
         self.snapshots = []
         self.flights = {}
         self.engine.spawn(self.script([("until", 1.0), ("move", 3)]), [SOURCE_ID])
@@ -306,6 +312,17 @@ class Run:
         )
         self.looks += 1
 
+    def peek(self, proc):
+        """A sleepers-only Look: the oracle's sleepers, counted as a Look."""
+        trace = self.engine.trace
+        looks = trace.look_count
+        snapshot = (yield Look(sleepers_only=True)).value
+        assert trace.look_count == looks + 1
+        assert snapshot.observer == proc.position
+        truth = oracle(self.engine, self.world, snapshot.observer, self.flights)
+        assert observed(snapshot) == [seen for seen in truth if not seen[1]]
+        self.peeks += 1
+
     def idle_here(self, proc):
         owned = {r for p in self.engine._processes.values() for r in p.robot_ids}
         return [
@@ -340,6 +357,8 @@ class Run:
             idle = self.idle_here(proc)
             if idle:
                 yield Absorb(idle)
+        elif kind == "peek":
+            yield from self.peek(proc)
         elif kind == "wake":
             rid = self.sleeper_ids.get(op[1])
             if rid is not None and not self.world.robots[rid].awake:
@@ -544,6 +563,16 @@ class TestLookOracle:
         crash=0.0,
         slow={2},
     )
+    @example(  # sleepers-only Looks among crashed robots, a crowd and a flight
+        sleepers=[0, 1, 3, 5],
+        team_specs=[
+            (0, 2, [("peek",), ("wake", 5, [("peek",)]), ("team", 0, [0, 2], 3), ("peek",)]),
+            (5, 1, [("peek",), ("wake", 0, None), ("move", 3), ("peek",), ("wake", 3, None)]),
+        ],
+        crowd=_MOVER_INDEX_ON + 4,
+        crash=0.5,
+        slow=set(),
+    )
     def test_every_look_matches_the_oracle(self, sleepers, team_specs, crowd, crash, slow):
         config = WorldConfig(crash_on_wake=crash, failure_seed=3)
         run = Run(sorted(set(sleepers)), team_specs, crowd, config, slow)
@@ -563,6 +592,42 @@ class TestLookOracle:
         run.engine.run(until=0.5)
         assert run.engine._movers is not None
         run.check()
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [(False, True), (True, False), (False, True, False), (True, True, False)],
+        ids=["full-first", "sleepers-first", "full-sleepers-full", "sleepers-sleepers-full"],
+    )
+    def test_memo_keeps_full_and_sleepers_only_looks_apart(self, kinds):
+        """Processes on one site Look at one instant, full or sleepers-only
+        (``True``) in turn: each gets its own views, whichever Look came
+        first, though a full Look there is memoized for the next."""
+        here = Point(2.0, 1.0)
+        homes = [Point(2.5, 1.0), Point(2.0, 1.5), Point(5.0, 5.0)]
+        world = World(source=Point(0.0, 0.0), positions=[here] * len(kinds) + homes)
+        engine = Engine(world)
+        seen = {}
+
+        def program(rid, sleepers_only):
+            def looker(proc):
+                yield WaitUntil(1.0)
+                seen[rid] = observed((yield Look(sleepers_only=sleepers_only)).value)
+
+            return looker
+
+        for rid, sleepers_only in enumerate(kinds, 1):
+            world.mark_awake(rid, 0.0, None)
+            engine.spawn(program(rid, sleepers_only), [rid])
+        engine.run()
+        x, y = here[0].hex(), here[1].hex()
+        awake = [(rid, True, x, y) for rid in range(1, len(kinds) + 1)]
+        sleepers = [
+            (len(kinds) + i, False, home[0].hex(), home[1].hex())
+            for i, home in enumerate(homes[:2], 1)
+        ]
+        for rid, sleepers_only in enumerate(kinds, 1):
+            assert seen[rid] == (sleepers if sleepers_only else sorted(awake + sleepers))
+        assert engine.trace.look_count == len(kinds)
 
     def test_crashed_idle_robots_are_seen_where_they_fell(self):
         run = Run(

@@ -631,8 +631,13 @@ class TestTeamSweepFlight:
         # A walk of only teleports ends the flight at its issue instant.
         assume(max(walks) > 2 * EPS)
         budgets = [{"unbounded": math.inf, "ample": 1e6, "short": 0.5 * w}[budget] for w in walks]
-        for i in range(k):
-            assert sweep.lengths(i, origin) == sweep.run(i).segment_lengths(origin)
+        # One list per distinct strip axis, shared by the robots on it.
+        strips = sweep.strip_lengths(origin)
+        assert strips == [sweep.run(i).segment_lengths(origin) for i in range(k)]
+        assert all(
+            (strips[i] is strips[j]) == (sweep.rows[i] is sweep.rows[j])
+            for i in range(k) for j in range(k)
+        )
         team_engine, team_world, team, out = fly(sweep, origin, speeds, budgets, team=True)
         lone_engine, lone_world, lone, _ = fly(sweep, origin, speeds, budgets, team=False)
         odometers = [
