@@ -31,7 +31,7 @@ from typing import Callable, Generator, NamedTuple
 
 from ..centralized import QUADTREE_MAKESPAN_FACTOR, quadtree_schedule
 from ..geometry import Point, Rect, close_to, square
-from ..sim import CO_LOCATION_TOL, Annotate, Look, Move, Result, Tour, WaitUntil
+from ..sim import CO_LOCATION_TOL, Annotate, Look, Move, Result, Tour, Wait, WaitUntil
 from ..sim.actions import Action, Program
 from ..sim.engine import ProcessView
 from ..sim.errors import ProtocolError
@@ -291,8 +291,12 @@ def _participate(
         # corner: the wake-time cohort may contain crashed robots (parked
         # at their wake positions, never gathering).  Every present member
         # snapshots the same co-located set at the round start, so the
-        # minimum present id is a consistent choice.
+        # minimum present id is a consistent choice.  The Wait(0.0) holds
+        # each member at the corner until every member has looked: no
+        # election Look finds a member in flight, and every one after the
+        # first is served by the engine's (time, center) memo.
         snap = (yield Look()).value
+        yield Wait(0.0)
         cohort_set = set(cohort)
         present = [
             view.robot_id

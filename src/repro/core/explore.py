@@ -80,7 +80,6 @@ class ExplorationReport:
 
     sleeping: Dict[int, Point] = field(default_factory=dict)
     awake: Dict[int, Point] = field(default_factory=dict)
-    snapshots: int = 0
 
     def note(self, snapshot: Snapshot) -> None:
         """Record every robot a snapshot shows."""
@@ -103,7 +102,6 @@ class ExplorationReport:
         for rid, pos in other.sleeping.items():
             if rid not in awake:
                 self.sleeping[rid] = pos
-        self.snapshots += other.snapshots
 
 
 def _axis_stops(lo: float, hi: float) -> LatticeAxis:
@@ -232,7 +230,6 @@ def explore_rect(
     for stop in exploration_stops(rect):
         yield Move(stop)
         report.note((yield look).value)
-        report.snapshots += 1
     if arrive_at is not None:
         yield Move(arrive_at)
     return report
@@ -277,13 +274,11 @@ def _explore_batched(
     """The frontier-batched walk: sweep cold runs, snapshot hot stops.
 
     ``run`` covers the whole lattice (plus the tail to ``arrive_at``).
-    ``report.snapshots`` counts planned lattice stops (the legacy payload
-    semantics), not materialized looks.  Distance travelled is charged by
-    the engine odometer (the single authoritative energy record, on the
-    per-stop and batched paths alike) — reports carry no travel tally.
+    Snapshots are counted by the engine and distance travelled is charged
+    by its odometer (the single authoritative records, on the per-stop and
+    batched paths alike) — reports carry no tally of either.
     """
     xs, ys, count = run.xs, run.ys, run.stop
-    report.snapshots += count
     start = 0
     for k in _hot_stops(frontier, xs, ys):
         yield Sweep(xs, ys, start, k + 1)
@@ -342,10 +337,8 @@ def explore_rect_team(
         sweep = _cold_team_sweep(proc, rect, k, meet_at, frontier)
         if sweep is not None:
             yield sweep
-            # The children's empty reports, merged: the planned stops.
-            return ExplorationReport(
-                snapshots=len(sweep.xs) * sum(len(ys) for ys in sweep.rows)
-            )
+            # The children's empty reports, merged.
+            return ExplorationReport()
     report = yield from _explore_rect_team_forked(
         proc, rect, meet_at, barrier_key, frontier
     )

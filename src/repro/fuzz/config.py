@@ -20,7 +20,6 @@ from typing import Any, Mapping
 
 from ..core.registry import get_algorithm
 from ..core.runner import RunRequest
-from ..instances.registry import get_scenario
 
 __all__ = ["FuzzConfig", "MODES"]
 
@@ -155,9 +154,6 @@ class FuzzConfig:
 
     def replace(self, **changes: Any) -> "FuzzConfig":
         return replace(self, **changes)
-
-    def scenario_spec(self):
-        return get_scenario(self.scenario)
 
     # -- executor hook -------------------------------------------------------
 

@@ -171,11 +171,6 @@ class RectilinearPath:
     xi: float
     waypoints: tuple[Point, ...]
 
-    def arc_length(self) -> float:
-        return sum(
-            distance(a, b) for a, b in zip(self.waypoints, self.waypoints[1:])
-        )
-
     def beads(self, spacing: float | None = None) -> list[Point]:
         """Beads along ``Π`` every at-most-``spacing`` (default
         ``0.95 * ell``), always including segment extremities.

@@ -86,10 +86,6 @@ class RunSummary:
     def makespan_per_rho(self) -> float:
         return self.makespan / self.rho_star if self.rho_star > 0 else math.inf
 
-    @property
-    def makespan_per_xi(self) -> float:
-        return self.makespan / self.xi_ell if self.xi_ell > 0 else math.inf
-
 
 def summarize(run: AlgorithmRun) -> RunSummary:
     """Flatten an :class:`AlgorithmRun` into a :class:`RunSummary` record."""

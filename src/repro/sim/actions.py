@@ -319,7 +319,7 @@ class WaitUntil(Action):
     time: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tour(Action):
     """A fixed walk of ``(Move, WaitUntil)`` legs as ONE engine event.
 
@@ -331,12 +331,10 @@ class Tour(Action):
     ``t + length / speed``, departure at ``max(arrival, wait.time)``, a leg
     of at most ``EPS`` a teleport as with :class:`Move`, and the same
     positions for observers (a waiting process is seen on its corner point
-    itself) — minus two queue events per leg.
-
-    A tour compares by identity: processes that issue the same tour object
-    from the same point, at the same instant and speed, fly it as one
-    convoy whose timetable the engine builds once, so a group of walkers
-    (an AGrid cohort) should share one object.
+    itself) — minus two queue events per leg.  Like a lattice
+    :class:`Sweep`, a tour flies alone: each issuing process gets its own
+    timetable and its own entry in the Look index, however many processes
+    issue the same tour object.
 
     It has :class:`Sweep`'s issue-time asymmetry (the whole walk is charged
     when issued, so a budget overrun on a later leg raises at the issue

@@ -27,15 +27,15 @@ trajectory.  A *site* holds everything stationary at one exact point
 (processes and idle robots, with a cached view tuple); a *convoy* holds the
 processes in flight on one identical straight segment.  A Look tests one
 distance per site and interpolates once per convoy, however large the
-cohorts.  A :class:`~repro.sim.actions.TeamSweep` is one *flight*: every
-robot is charged its run in one pass over the shared lattice hops, the
-whole team is one padded box in the Look index, and its robots get
-generator-less stand-in processes on their own runs only when a Look
-lands in that box — one queue event per team.  A
-:class:`~repro.sim.actions.Tour` flies a process over its legs and waits
-as one piecewise path, for one queue event per walk; the processes that
-issue one tour object from one point at one instant and speed share a
-convoy and its timetable.  A sleepers-only Look (AGrid's cell
+cohorts.  A lattice :class:`~repro.sim.actions.Sweep` and a
+:class:`~repro.sim.actions.Tour` (legs and waits flown as one piecewise
+path, one queue event per walk) fly alone: each has its own timetable and
+its own entry in the Look index.  A
+:class:`~repro.sim.actions.TeamSweep` is one *flight*: every robot is
+charged its run in one pass over the shared lattice hops, the whole team
+is one padded box in the Look index, and its robots get generator-less
+stand-in processes on their own runs only when a Look lands in that box
+— one queue event per team.  A sleepers-only Look (AGrid's cell
 explorations take nothing else) is served from the sleeping index alone,
 with no site or convoy scan and no memo, so a run whose Looks are all
 sleepers-only never builds the sites' grid hash or the mover index.
@@ -161,8 +161,8 @@ class _Process:
         # Piecewise motion state for a Sweep or a Tour: the path plus the
         # parallel per-segment end-time list for bisection (segment ``i``
         # runs waypoint ``i-1`` -> ``i`` over ``ends[i-1]..ends[i]``, with
-        # the origin/start filling in at ``i == 0``; a tour's convoy
-        # shares one list).  None while in plain segment mode.
+        # the origin/start filling in at ``i == 0``).  None while in plain
+        # segment mode.
         self.motion_path: Sweep | Tour | None = None
         self.motion_ends: list[float] | None = None
         #: While a TeamSweep is in flight: the flight Look finds its robots
@@ -170,17 +170,12 @@ class _Process:
         self.flight: _Flight | None = None
 
     def start_sweep(
-        self,
-        origin: Point,
-        now: float,
-        run: Sweep | Tour,
-        target: Point,
-        ends: list[float],
+        self, now: float, run: Sweep | Tour, target: Point, ends: list[float]
     ) -> None:
         """Put the process in flight on ``run`` (a lattice run or a tour)
-        from ``origin`` at ``now``, reaching ``target`` at ``ends[-1]``
+        from its position at ``now``, reaching ``target`` at ``ends[-1]``
         (``ends``: per-segment ends)."""
-        self.motion_from = origin
+        self.motion_from = self.position
         self.motion_start = now
         self.motion_to = target
         self.motion_end = ends[-1]
@@ -351,8 +346,8 @@ class Engine:
         self._sites: dict[Point, _Site] = {}
         self._site_index: GridHash | None = None
         self._idle: dict[int, _Site] = {}  # idle robot -> its site
-        # Convoys: one per identical straight segment in flight (sweeps
-        # ride alone), scanned with one interpolation each.
+        # Convoys: one per identical straight segment in flight (lattice
+        # sweeps and tours ride alone), scanned with one interpolation each.
         self._convoys: dict[Any, _Convoy] = {}
         # Vectorized convoy-bbox index, engaged by a full Look only when
         # many convoys move concurrently (see _MOVER_INDEX_ON); None =
@@ -370,7 +365,6 @@ class Engine:
         self._queue: list[tuple[float, int, int, Any]] = []
         self._seq = itertools.count()
         self._pid_counter = itertools.count()
-        self._started = False
         #: Total events popped off the queue — the denominator of the
         #: ``events/sec`` throughput metric in ``freezetag bench``.
         self.events_processed = 0
@@ -413,7 +407,6 @@ class Engine:
 
     def run(self, until: float | None = None) -> SimulationResult:
         """Process events until the queue drains (or ``until`` is reached)."""
-        self._started = True
         queue = self._queue
         processes = self._processes
         heappop = heapq.heappop
@@ -634,24 +627,12 @@ class Engine:
         # per-stop object is built.
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
-        position = proc.position
         now = self.now
-        lengths = action.segment_lengths(position)
+        lengths = action.segment_lengths(proc.position)
         ends = _ends(_charge(team, lengths), now, proc.speed)
-        t = ends[-1]
         target = _run_end(action, count)
-        if t <= now:
-            # Degenerate all-tiny sweep: complete immediately, like a
-            # zero-length move.
-            return self._arrive_now(proc, target)
-        self._unpark(proc)
-        self._look_cache.clear()
-        proc.start_sweep(position, now, action, target, ends)
-        # A sweep rides alone: its convoy is keyed by the process itself.
-        self._join_convoy(proc, proc)
-        self._schedule(t, proc.pid, Result(t, None))
         trace = self.trace
-        if trace.enabled:
+        if self._fly_alone(proc, action, target, ends) and trace.enabled:
             trace.append(
                 now, "sweep", proc.pid,
                 {
@@ -742,35 +723,16 @@ class Engine:
     def _handle_tour(self, proc: _Process, action: Tour) -> None:
         # A Move then a WaitUntil per leg, as one event: every leg is
         # checked and charged now, in the chain's order, and the process
-        # flies the legs and waits as one piecewise path.  Processes that
-        # issue this tour from this point at this instant and speed would
-        # walk bit-identical timetables, so they share a convoy and its
-        # list of segment ends.
+        # flies the legs and waits as one piecewise path.
         robots = self.world.robots
         team = [robots[rid] for rid in proc.robot_ids]
-        position = proc.position
         now = self.now
-        lengths = action.leg_lengths(position)
+        lengths = action.leg_lengths(proc.position)
         _charge_checked(team, lengths)
-        key = _tour_key(action, position, now, proc.speed)
-        convoy = self._convoys.get(key)
-        if convoy is None:
-            ends = action.timetable(lengths, now, proc.speed)
-        else:
-            ends = convoy.members[0].motion_ends
-        t = ends[-1]
+        ends = action.timetable(lengths, now, proc.speed)
         target = action.corners[-1]
-        if t <= now:
-            # Teleports and past waits only: complete at once, like a
-            # zero-length move.
-            return self._arrive_now(proc, target)
-        self._unpark(proc)
-        self._look_cache.clear()
-        proc.start_sweep(position, now, action, target, ends)
-        self._join_convoy(proc, key)
-        self._schedule(t, proc.pid, Result(t, None))
         trace = self.trace
-        if trace.enabled:
+        if self._fly_alone(proc, action, target, ends) and trace.enabled:
             # One entry for the legs' Move entries: only real legs charge.
             walked = [length for length in lengths if length > EPS]
             if walked:
@@ -782,6 +744,27 @@ class Engine:
                     },
                 )
         return None
+
+    def _fly_alone(
+        self, proc: _Process, run: Sweep | Tour, target: Point, ends: list[float]
+    ) -> bool:
+        """Put ``proc``, already charged, in flight on ``run`` (a lattice
+        sweep or a tour) from its position now, reaching ``target`` at
+        ``ends[-1]`` (``ends``: per-segment ends).  It rides alone: its
+        convoy is keyed by the process itself.  Returns False when the run
+        takes no time (tiny hops, teleports and past waits only) and so
+        completed at once, like a zero-length move."""
+        t = ends[-1]
+        now = self.now
+        if t <= now:
+            self._arrive_now(proc, target)
+            return False
+        self._unpark(proc)
+        self._look_cache.clear()
+        proc.start_sweep(now, run, target, ends)
+        self._join_convoy(proc, proc)
+        self._schedule(t, proc.pid, Result(t, None))
+        return True
 
     def _handle_wait(self, proc: _Process, action: Wait) -> None:
         if action.duration < -EPS:
@@ -1230,11 +1213,12 @@ class _Site:
 
 
 class _Convoy:
-    """Processes in flight on one identical straight segment, one sweep,
-    or one tour from one point at one instant and speed.
+    """Processes in flight on one identical straight segment, or one
+    process alone on a lattice sweep or a tour (keyed by the process).
 
-    Members interpolate bit-identically (see :func:`_segment_key`), so a
-    Look interpolates the first member once for all of them.
+    Segment members interpolate bit-identically (see
+    :func:`_segment_key`), so a Look interpolates the first member once
+    for all of them.
     """
 
     __slots__ = ("key", "members", "bbox")
@@ -1317,22 +1301,9 @@ class _Flight:
                 speed = robot.speed
                 member = _Process(self.pid, None, [robot.robot_id], origin, speed)
                 ends = _ends(_charged(lengths), start, speed)
-                member.start_sweep(origin, start, sweep.run(i), meet, ends)
+                member.start_sweep(start, sweep.run(i), meet, ends)
                 stand_ins.append(member)
         return stand_ins
-
-
-def _tour_key(tour: Tour, origin: Point, start: float, speed: float) -> tuple:
-    """Convoy key of ``tour`` flown from ``origin`` at ``start``, ``speed``.
-
-    A tour compares by identity; as in :func:`_segment_key`, a zero
-    coordinate of the origin (reported at the start instant) keys on its
-    sign.
-    """
-    if 0.0 in origin:
-        signs = math.copysign(1.0, origin[0]), math.copysign(1.0, origin[1])
-        return tour, origin, start, speed, signs
-    return tour, origin, start, speed
 
 
 def _segment_key(a: Point, b: Point, start: float, end: float) -> tuple:

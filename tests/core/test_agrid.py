@@ -1,5 +1,7 @@
 """AGrid integration: full wake-up, energy budget, wave structure."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -27,7 +29,15 @@ from repro.instances import (
     uniform_disk,
 )
 from repro.metrics import summarize
-from repro.sim import SOURCE_ID, Engine, EnergyBudgetExceeded, ProtocolError, Trace, WorldConfig
+from repro.sim import (
+    SOURCE_ID,
+    Engine,
+    EnergyBudgetExceeded,
+    Look,
+    ProtocolError,
+    Trace,
+    WorldConfig,
+)
 
 FAMILIES = [
     uniform_disk(n=40, rho=8.0, seed=7),
@@ -588,3 +598,111 @@ class TestSleepersOnlyLooks:
                 run = run_agrid(instance, ell=1)
             assert run.woke_all
             assert sorted(set(built)) == (["movers", "sites"] if full_looks else [])
+
+
+def wake_digest(wake_times):
+    """sha256 of the wake times, in wake order, as ``float.hex``."""
+    text = json.dumps([[rid, t.hex()] for rid, t in wake_times.items()])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCrashAwareElection:
+    """With crash-on-wake, every present cohort member elects the leader
+    from a full Look at the round start, and waits there until every
+    member has looked.  The records are those the engine gave at commit
+    7272870, when each member left the corner right after its own Look;
+    now no election Look finds a process in flight, so the mover index is
+    never built, and each Look after the first at a corner and instant is
+    a memo hit."""
+
+    #: fragile_swarm (n, rho, seed, world_params) -> makespan, max and
+    #: total energy (``float.hex``), snapshots and :func:`wake_digest`,
+    #: all computed at commit 7272870 (``ell`` unpinned).
+    RECORDS = [
+        (60, 4.3, 0, {},
+         "0x1.19b4f600c8896p+10", "0x1.7698675867a8cp+7", "0x1.87e25fac0eb39p+11",
+         715, "e1f9ce791b4497e2cf5b7f22fc8484a76760be7b666132442ebb535e96baea50"),
+        (60, 4.3, 1, {},
+         "0x1.1a024a3007690p+10", "0x1.7863c7b8458d5p+7", "0x1.8de7466e89959p+11",
+         715, "ca484900b8448d692146e1c93baa22552faaba12ff09a3e642deba62ac0f542d"),
+        (60, 4.3, 2, {},
+         "0x1.19782cf0bf1d7p+10", "0x1.7efb287bd2bd3p+7", "0x1.89d31da80ea24p+11",
+         715, "907277d6c2c3f84eeadfc594e7988fc840d5c0c674ba28367c454c8b1cba2626"),
+        (60, 4.3, 3, {},
+         "0x1.f726743eff56ap+9", "0x1.700597cb63808p+7", "0x1.6ddb5233a1755p+11",
+         571, "a5e1edbf338cbe7443f980d807be4a12fb1a1363f2043b7bc0b60dd3e7060865"),
+        (300, 5.9, 0, {},
+         "0x1.8bc2e19a53585p+10", "0x1.46681ccd78f3ep+6", "0x1.94324cfdbaca2p+12",
+         1461, "02c32c12b9f7214cea5a2da7c83953499c7f31661945b677a38b160938cc6eb9"),
+        (300, 5.9, 1, {},
+         "0x1.8b884ff228214p+10", "0x1.43422e204528ap+6", "0x1.9178a8c432cf5p+12",
+         1429, "2a96ad90704891dd01d44018335bef4599369da24c518df2f56bfcf72d16efce"),
+        (300, 5.9, 2, {},
+         "0x1.8beb957463858p+10", "0x1.461699b31da79p+6", "0x1.8ffb7b4869d72p+12",
+         1397, "215ed0d379b48f49fdeac2bc1ee6ab80b97cdf44c61c4bd69d05b35be8893ff6"),
+        (300, 5.9, 3, {},
+         "0x1.8bcb2a56016cap+10", "0x1.2566c6e1e3ea8p+6", "0x1.93ddf3b931390p+12",
+         1461, "9eef3e83e80a7b06f16a149190286bc3f90bd2021f3dd7776708009d5c9e4a25"),
+        (1500, 9.6, 0, {},
+         "0x1.5386b4b33cf09p+11", "0x1.504857a29655cp+6", "0x1.b54a4c9b63ae3p+14",
+         4217, "3ca4484b3203718212c32ddcbb1e16e0e66db38df466bd5bd9ebccf8a746ed3c"),
+        (1500, 9.6, 1, {},
+         "0x1.53a3e2befe839p+11", "0x1.5cb6884883458p+6", "0x1.b526ac64c882ap+14",
+         4217, "562007cd0453cafcf336caa800eee0ee41334ae4c67e468e89ee53464ae3d70c"),
+        (1500, 9.6, 2, {},
+         "0x1.53ac15c56972ap+11", "0x1.380147ba4db21p+6", "0x1.b52e87b4f0157p+14",
+         4185, "c646b4906f03d827d904ee7f02ea125c213ec222d7932d68a66ff6fb3c31a7ef"),
+        (1500, 9.6, 3, {},
+         "0x1.538e9f4cf24b1p+11", "0x1.50ec2faf418b6p+6", "0x1.b49bfb860e304p+14",
+         4185, "c125d9cb672872d313ee03296875cc0776e720965839c228958cf525ea920f30"),
+        (1500, 9.6, 1, {"slow_fraction": 0.3, "crash_on_wake": 0.2},
+         "0x1.5382eda3c8ca5p+12", "0x1.82cd1512405c8p+6", "0x1.91a1aa33904f2p+14",
+         4058, "8f2c525b6968b50065c9a3472ea34931862128b088abc60e136eaa4f23ae4046"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,rho,seed,world,makespan,max_energy,total_energy,snapshots,wakes",
+        RECORDS,
+        ids=[f"n{row[0]}-seed{row[2]}" + ("-slow" if row[3] else "") for row in RECORDS],
+    )
+    def test_election_looks_before_anyone_leaves(
+        self, monkeypatch, n, rho, seed, world, makespan, max_energy, total_energy,
+        snapshots, wakes,
+    ):
+        elections = []  # (time, corner, memo hit, in-flight Look-index entries)
+        built = []
+        look = engine_mod._HANDLERS[Look]
+
+        def watched(engine, proc, action):
+            # A crash-aware run's explorations take sleepers-only Looks:
+            # its full Looks are the elections.
+            if not action.sleepers_only:
+                key = (engine.now, proc.position)
+                elections.append((*key, key in engine._look_cache, len(engine._convoys)))
+            return look(engine, proc, action)
+
+        def movers(*args, **kwargs):
+            built.append("movers")
+            return mover_index(*args, **kwargs)
+
+        mover_index = engine_mod._MoverIndex
+        monkeypatch.setitem(engine_mod._HANDLERS, Look, watched)
+        monkeypatch.setattr(engine_mod, "_MoverIndex", movers)
+        request = RunRequest(
+            algorithm="agrid", scenario="fragile_swarm",
+            family_kwargs={"n": n, "rho": rho, "seed": seed}, world_params=world,
+        )
+        result = request.execute().result
+        assert result.makespan.hex() == makespan
+        assert result.max_energy.hex() == max_energy
+        assert result.total_energy.hex() == total_energy
+        assert result.snapshots == snapshots
+        assert wake_digest(result.wake_times) == wakes
+        assert elections
+        assert all(in_flight == 0 for *_, in_flight in elections)
+        assert not built
+        seen = set()
+        for time, corner, hit, _ in elections:
+            assert hit == ((time, corner) in seen)
+            seen.add((time, corner))
+        assert len(seen) < len(elections)

@@ -107,9 +107,8 @@ class TestSingleRobot:
 
     def test_report_counts_snapshots(self):
         rect = Rect(0, 0, 5, 5)
-        report, result = self._run(rect, [])
-        assert report.snapshots == len(exploration_stops(rect))
-        assert result.snapshots == report.snapshots
+        _, result = self._run(rect, [])
+        assert result.snapshots == len(exploration_stops(rect))
 
     def test_sleepers_only_looks_report_the_same_sleepers(self):
         """With sleepers-only Looks the report finds the same sleepers,
@@ -139,7 +138,6 @@ class TestSingleRobot:
         full, sleepers = reports[False], reports[True]
         assert sleepers.sleeping == full.sleeping == {1: homes[0], 2: homes[1]}
         assert set(full.awake) == {SOURCE_ID, 3} and not sleepers.awake
-        assert sleepers.snapshots == full.snapshots
 
         def batched(proc):
             yield from explore_rect(
@@ -235,7 +233,7 @@ class TestBatchedWalk:
         rect = Rect(0, 0, w, h)
         sleepers = [Point(fx * w, fy * h) for fx, fy in spots]
         arrive_at = Point(w / 2, h + 1.0) if arrive else None
-        *actions, report = self._actions(rect, sleepers, arrive_at)
+        *actions, _ = self._actions(rect, sleepers, arrive_at)
         stops = exploration_stops(rect)
         walked, looked_at = [], []
         for action in actions:
@@ -249,7 +247,6 @@ class TestBatchedWalk:
         # Snapshots are taken exactly at the stops that can see a sleeper.
         frontier = frontier_for(sleepers, 1.0)
         assert looked_at == [k for k, stop in enumerate(stops) if frontier.any_within(stop)]
-        assert report.snapshots == len(stops)
         if not sleepers:
             assert len(actions) == 1  # an entirely cold rectangle is one run
 
@@ -257,16 +254,13 @@ class TestBatchedWalk:
 class TestReportMerge:
     @pytest.mark.parametrize("awake_first", [True, False])
     def test_awake_sighting_wins_in_either_order(self, awake_first):
-        awake = ExplorationReport(awake={1: Point(2.0, 0.0)}, snapshots=1)
-        sleeping = ExplorationReport(
-            sleeping={1: Point(0.0, 0.0), 2: Point(5.0, 5.0)}, snapshots=2
-        )
+        awake = ExplorationReport(awake={1: Point(2.0, 0.0)})
+        sleeping = ExplorationReport(sleeping={1: Point(0.0, 0.0), 2: Point(5.0, 5.0)})
         merged = ExplorationReport()
         for part in (awake, sleeping) if awake_first else (sleeping, awake):
             merged.merge(part)
         assert merged.awake == {1: Point(2.0, 0.0)}
         assert merged.sleeping == {2: Point(5.0, 5.0)}
-        assert merged.snapshots == 3
 
     @given(
         st.lists(
@@ -441,9 +435,6 @@ class TestTeamSweep:
         assert collapsed["forks"] == int(forked["zero_walk"])
         if not forked["zero_walk"]:
             assert collapsed["events"] < forked["events"]
-        assert collapsed["report"].snapshots == sum(
-            len(exploration_stops(strip)) for strip in rect.split_rows(len(speeds))
-        )
 
     @staticmethod
     def _overrun(explore):

@@ -11,9 +11,9 @@ awake flags and coordinate bits (``float.hex``, so ``-0.0`` and ``0.0``
 differ).  The programs are random scripts over every action the engine
 knows, run by many processes at once, so whatever grouping the engine
 keeps for Look (points shared by stationary teams and idle robots,
-segments shared by movers, a team sweep's stand-ins, tours flown as one
-convoy, the vectorized mover index) is checked against the world state it
-stands for.  A sleepers-only Look must list exactly the oracle's sleepers
+segments shared by movers, lattice sweeps and tours each flown alone, a
+team sweep's stand-ins, the vectorized mover index) is checked against
+the world state it stands for.  A sleepers-only Look must list exactly the oracle's sleepers
 and count as one Look, and the ``(time, center)`` memo must never serve
 one kind of Look to the other.
 """

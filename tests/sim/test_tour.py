@@ -3,9 +3,10 @@
 A tour must be observationally identical to yielding each leg's Move and
 then its WaitUntil: the same odometers (float op for float op), the same
 resume instant and position, and the same sightings for every observer —
-while costing one queue event for the whole walk.  Processes that issue
-one tour object from one point at one instant and speed fly it as one
-convoy, so several walkers issue the same object here.
+while costing one queue event for the whole walk.  Several walkers issue
+the same tour object here, from one point or from points a sign of zero
+apart, at one or several speeds; each flies alone on its own timetable,
+as a lattice ``Sweep`` does.
 """
 
 import math
@@ -32,8 +33,8 @@ CORNERS = (
     Point(0.5, -1.0),
     Point(4.0, 3.0),
 )
-#: Walker origins, three of them one sign of zero apart: those must not
-#: share a convoy.
+#: Walker origins, three of them one sign of zero apart: a Look at the
+#: start instant must report each walker at its own origin's bits.
 ORIGINS = (Point(0.0, 0.0), Point(-0.0, 0.0), Point(0.0, -0.0), Point(0.5, 0.25))
 #: Walkers start together, after the observers' first Looks.
 START = 1.0
@@ -144,7 +145,7 @@ class TestTourIsItsChain:
         fractions=[0.3, 0.7],
         post=(0.5, 0.5),
     )
-    @example(  # walkers of two speeds from one origin: two convoys
+    @example(  # walkers of two speeds from one origin: two timetables
         spec=[(3, 2), (6, 9)],
         walkers=[(3, [1.0]), (3, [0.7])],
         bounded=False,
@@ -199,7 +200,9 @@ class TestTourIsItsChain:
         assert chain["events"] == 2 + 2 * 3
         assert flown["events"] == 2 + 1
 
-    def test_walkers_share_one_convoy_and_timetable(self):
+    def test_walkers_fly_alone(self):
+        """Walkers of one tour object from one point at one instant and
+        speed each get their own Look-index entry and timetable."""
         tour = make_tour([(3, 4), (5, 8)])
         world = World(source=ORIGINS[0], positions=[ORIGINS[0], ORIGINS[1]])
         for rid in (1, 2):
@@ -213,8 +216,9 @@ class TestTourIsItsChain:
             engine.spawn(walker, [rid], position=ORIGINS[rid // 2])
         engine.run(until=0.5)
         procs = [engine._processes[pid] for pid in (0, 1, 2)]
-        assert procs[0].convoy is procs[1].convoy is not procs[2].convoy
-        assert procs[0].motion_ends is procs[1].motion_ends
+        assert [engine._convoys[proc].members for proc in procs] == [[proc] for proc in procs]
+        assert procs[0].motion_ends == procs[1].motion_ends
+        assert procs[0].motion_ends is not procs[1].motion_ends
         engine.run()
 
     def test_budget_overrun_raises_at_issue(self):
